@@ -7,20 +7,23 @@
 // started with mismatched -app/-n/-seed/-proc/-thread flags is rejected
 // with a diagnostic instead of corrupting the run.
 //
-// In elastic mode (-elastic) the master is a membership service instead of
-// a rendezvous: workers join and leave at any time, liveness is tracked by
-// heartbeats, a dead worker's tasks are reassigned, and -checkpoint makes
-// completed tasks survive a master restart (see docs/CLUSTER.md).
+// In elastic mode (-elastic) the master runs the problem as the single job
+// of a shared fleet (internal/fleet): workers join and leave at any time,
+// liveness is tracked by heartbeats, a dead worker's tasks are reassigned,
+// and -checkpoint makes completed tasks survive a master restart (see
+// docs/FLEET.md). Workers take the problem from the job's attach frame,
+// so they need no workload flags.
 //
 // Example (three shells, elastic):
 //
 //	easyhps-launch -elastic -addr :9000 -min-workers 2 -app swgg -n 400 -checkpoint run.ckpt
-//	easyhps-worker -elastic -addr 127.0.0.1:9000 -app swgg -n 400
-//	easyhps-worker -elastic -addr 127.0.0.1:9000 -app swgg -n 400
+//	easyhps-worker -elastic -addr 127.0.0.1:9000
+//	easyhps-worker -elastic -addr 127.0.0.1:9000
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -33,6 +36,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dag"
+	"repro/internal/fleet"
 )
 
 func main() {
@@ -81,34 +85,55 @@ func main() {
 	}
 
 	if *elastic {
-		m, err := cluster.NewMaster(prob, cluster.Options{
+		f, err := fleet.New[int32](fleet.Options{
 			Addr:              *addr,
-			Spec:              spec,
-			MinWorkers:        *minWorkers,
 			HeartbeatInterval: *hb,
 			HeartbeatMiss:     *hbMiss,
-			JoinWindow:        *wait,
-			CheckpointPath:    *ckpt,
 			Batch:             *batch,
 			Speculate:         *speculate,
 			Steal:             *steal,
 			Auto:              *auto,
 			Cache:             store,
-			RunTimeout:        15 * time.Minute,
 		})
 		fatal(err)
-		fmt.Printf("elastic master on %s (spec %s); waiting for %d workers ...\n", m.Addr(), spec.Digest(), *minWorkers)
+		defer f.Close()
+		fmt.Printf("elastic master on %s (spec %s); waiting for %d workers ...\n", f.Addr(), spec.Digest(), *minWorkers)
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
-		res, err := m.Run(ctx)
+		joinCtx, cancelJoin := context.WithTimeout(ctx, *wait)
+		err = f.WaitMembers(joinCtx, *minWorkers)
+		cancelJoin()
+		if err != nil {
+			fatal(fmt.Errorf("%d workers did not join within %v: %w", *minWorkers, *wait, err))
+		}
+		specJSON, err := json.Marshal(spec)
+		fatal(err)
+		req := fleet.JobRequest{
+			Name:           prob.Name,
+			Spec:           specJSON,
+			Proc:           spec.Proc,
+			Thread:         spec.Thread,
+			Timeout:        15 * time.Minute,
+			CacheKey:       spec.Digest(),
+			CheckpointPath: *ckpt,
+		}
+		if !req.Proc.Valid() {
+			// Pin the runtime default instead of letting -auto's partition
+			// advisor pick from the membership at submission: a checkpoint
+			// only replays onto the geometry that wrote it.
+			req.Proc = dag.Size{Rows: (prob.Size.Rows + 7) / 8, Cols: (prob.Size.Cols + 7) / 8}
+		}
+		res, err := f.Run(ctx, prob, req)
 		if err != nil && *ckpt != "" {
 			fmt.Fprintf(os.Stderr, "easyhps-launch: %v\nprogress is checkpointed in %s; rerun to resume\n", err, *ckpt)
 			os.Exit(1)
 		}
 		fatal(err)
-		fmt.Printf("done in %v\n", res.Stats.Elapsed.Round(time.Millisecond))
-		report(os.Stdout, res.Matrix())
-		fmt.Println(res.Stats)
+		stats := res.Stats
+		stats.Joins, stats.Leaves, stats.Deaths, stats.LeasesRevoked, stats.Reassigned = f.Registry().MembershipCounts()
+		fmt.Printf("done in %v\n", stats.Elapsed.Round(time.Millisecond))
+		report(os.Stdout, res.Store.Assemble())
+		fmt.Println(stats)
 		return
 	}
 

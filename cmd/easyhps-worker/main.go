@@ -6,19 +6,25 @@
 // mismatch is rejected at connect time with a diagnostic naming both
 // sides.
 //
-// In elastic mode (-elastic, no -rank needed) the worker joins the
-// master's membership service whenever it starts — including mid-run —
-// heartbeats while alive, and departs gracefully on Ctrl-C so its
-// in-flight work is reassigned immediately.
+// In elastic mode (-elastic) the worker joins an easyhps-launch -elastic
+// master whenever it starts — including mid-run — heartbeats while alive,
+// and departs gracefully on Ctrl-C so its in-flight work is reassigned
+// immediately. The master ships the problem spec in the job's attach
+// frame, so -app/-n/-seed/-proc/-thread are ignored.
 //
 // In fleet mode (-fleet) the worker joins a shared fleet run by
 // easyhps-serve -fleet and serves any number of concurrent jobs: kernel
 // state attaches per job from the master's spec frames (validated by
 // digest against the built-in registry), so no workload flags are needed.
+//
+// Both modes run the same fleet worker; they differ only in how an attach
+// frame's spec becomes a problem (the easyhps-run applications versus the
+// job service's kernel registry).
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -39,16 +45,16 @@ func main() {
 		addr    = flag.String("addr", "127.0.0.1:9000", "master address")
 		rank    = flag.Int("rank", 1, "fixed mode: this worker's rank (1-based)")
 		workers = flag.Int("workers", 2, "fixed mode: total number of workers in the cluster")
-		app     = flag.String("app", "swgg", "application (must match the master)")
-		n       = flag.Int("n", 400, "matrix side length (must match)")
-		seed    = flag.Int64("seed", 1, "workload seed (must match)")
-		proc    = flag.Int("proc", 0, "process_partition_size (must match)")
-		thread  = flag.Int("thread", 0, "thread_partition_size")
+		app     = flag.String("app", "swgg", "fixed mode: application (must match the master)")
+		n       = flag.Int("n", 400, "fixed mode: matrix side length (must match)")
+		seed    = flag.Int64("seed", 1, "fixed mode: workload seed (must match)")
+		proc    = flag.Int("proc", 0, "fixed mode: process_partition_size (must match)")
+		thread  = flag.Int("thread", 0, "fixed mode: thread_partition_size")
 		threads = flag.Int("threads", 4, "compute goroutines on this worker")
 		batch   = flag.Int("batch", 1, "flush results in groups of up to this many when the master batches tasks")
 		wait    = flag.Duration("wait", time.Minute, "how long to keep dialing the master")
 
-		elastic = flag.Bool("elastic", false, "join an elastic cluster master (ignores -rank/-workers)")
+		elastic = flag.Bool("elastic", false, "join an elastic master (workload comes from the master; ignores -rank/-workers/-app/-n/-seed/-proc/-thread)")
 		name    = flag.String("name", "", "elastic/fleet: member name in the master's logs and metrics")
 		hb      = flag.Duration("hb", 250*time.Millisecond, "elastic/fleet: heartbeat interval (must match the master)")
 		hbMiss  = flag.Int("hb-miss", 3, "elastic/fleet: silent intervals before giving the master up for dead")
@@ -58,10 +64,16 @@ func main() {
 	)
 	flag.Parse()
 
-	if *fleetMode {
+	if *fleetMode || *elastic {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
-		fmt.Printf("joining shared fleet at %s with %d threads\n", *addr, *threads)
+		build := server.RegistryBuilder(server.NewRegistry())
+		mode := "shared fleet"
+		if *elastic {
+			build = specBuilder
+			mode = "elastic master"
+		}
+		fmt.Printf("joining %s at %s with %d threads\n", mode, *addr, *threads)
 		opts := fleet.WorkerOptions{
 			Addr:              *addr,
 			Name:              *name,
@@ -71,11 +83,14 @@ func main() {
 			Run:               core.Config{Threads: *threads, Batch: *batch},
 		}
 		if *steal {
+			// Announce hunger after two silent heartbeat intervals: long
+			// enough to prove the pool has really drained, short enough to
+			// claim backlog well before a straggling peer finishes it.
 			opts.HungerAfter = 2 * *hb
 		}
-		err := fleet.RunWorker(ctx, server.RegistryBuilder(server.NewRegistry()), opts)
+		err := fleet.RunWorker(ctx, build, opts)
 		if err == context.Canceled {
-			fmt.Println("worker left the fleet")
+			fmt.Println("worker left the", mode)
 			return
 		}
 		fatal(err)
@@ -94,35 +109,6 @@ func main() {
 		spec.Thread = dag.Square(*thread)
 	}
 
-	if *elastic {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		fmt.Printf("joining elastic cluster at %s (spec %s) with %d threads\n", *addr, spec.Digest(), *threads)
-		opts := cluster.WorkerOptions{
-			Addr:              *addr,
-			Spec:              spec,
-			Name:              *name,
-			HeartbeatInterval: *hb,
-			HeartbeatMiss:     *hbMiss,
-			DialTimeout:       *wait,
-			Run:               core.Config{Threads: *threads, Batch: *batch},
-		}
-		if *steal {
-			// Announce hunger after two silent heartbeat intervals: long
-			// enough to prove the pool has really drained, short enough to
-			// claim backlog well before a straggling peer finishes it.
-			opts.HungerAfter = 2 * *hb
-		}
-		err := cluster.RunWorker(ctx, prob, opts)
-		if err == context.Canceled {
-			fmt.Println("worker left the cluster")
-			return
-		}
-		fatal(err)
-		fmt.Println("worker done")
-		return
-	}
-
 	tr, err := comm.DialWorkerOpts(*addr, *rank, *workers, *wait, comm.TCPOptions{Digest: spec.Digest()})
 	fatal(err)
 	defer tr.Close()
@@ -138,6 +124,17 @@ func main() {
 		*rank, *workers, *addr, prob.Name, *threads)
 	fatal(core.RunSlave(prob, cfg, tr))
 	fmt.Println("worker done")
+}
+
+// specBuilder turns an elastic master's attach frame, which carries the
+// JSON cluster.Spec of the run, back into the easyhps-run problem.
+func specBuilder(meta fleet.JobMeta) (core.Problem[int32], error) {
+	var spec cluster.Spec
+	if err := json.Unmarshal(meta.Spec, &spec); err != nil {
+		return core.Problem[int32]{}, fmt.Errorf("decoding problem spec: %w", err)
+	}
+	prob, _, err := cli.Build(spec.App, spec.N, spec.Seed)
+	return prob, err
 }
 
 func fatal(err error) {

@@ -3,11 +3,10 @@ package cluster
 import "sync/atomic"
 
 // Counters is the race-free progress ledger of one job's scheduling: the
-// master loop, per-member sender goroutines, and the control loop all bump
-// fields concurrently, and monitoring reads them live. Factoring the
-// ledger out of Master gives the shared fleet (internal/fleet) one ledger
-// per job with the identical meaning per field, so per-job Stats roll up
-// into fleet totals without a lock.
+// fleet's receive loop, per-member sender goroutines, and the control loop
+// all bump fields concurrently, and monitoring reads them live. Each job
+// owns one ledger with the identical meaning per field, so per-job Stats
+// roll up into fleet totals without a lock.
 type Counters struct {
 	Tasks, Dispatches, Redistributions, Restored atomic.Int64
 	StaleResults, BatchMessages, TaskBytes       atomic.Int64

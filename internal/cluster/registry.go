@@ -51,7 +51,7 @@ func (s MemberState) String() string {
 }
 
 // Member is one admitted worker. The ID doubles as the incarnation: it
-// is never reused within a master's lifetime, so a lease names exactly
+// is never reused within a registry's lifetime, so a lease names exactly
 // one admission of one worker process.
 type Member struct {
 	ID        int
@@ -63,7 +63,7 @@ type Member struct {
 	Completed int64 // vertices this member computed
 }
 
-// Registry is the master's membership table.
+// Registry is the fleet's membership table.
 type Registry struct {
 	mu      sync.Mutex
 	next    int
@@ -202,8 +202,8 @@ func (r *Registry) NoteCompleted(id int) {
 }
 
 // NoteRevoked accumulates lease-revocation accounting, driven by the
-// revocation path of whoever owns the registry — the elastic master or
-// the shared fleet.
+// revocation path of whoever owns the registry — the fleet or the
+// simulator.
 func (r *Registry) NoteRevoked(leases, reassigned int) {
 	r.mu.Lock()
 	r.leasesRevoked += int64(leases)

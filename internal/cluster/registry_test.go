@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -85,32 +87,87 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 }
 
-func TestLeaseTable(t *testing.T) {
-	lt := newLeaseTable(nil)
-	lt.grant(1, 10, 1)
-	lt.grant(2, 10, 1)
-	lt.grant(3, 11, 1)
-	if lt.len() != 3 {
-		t.Fatalf("len = %d, want 3", lt.len())
+// NoteCompleted credits only the named live or departed member, and
+// NoteRevoked accumulates across calls into MembershipCounts and Metrics.
+func TestRegistryCompletedAndRevoked(t *testing.T) {
+	r := NewRegistry(nil, nil)
+	a := r.Admit("a", "test")
+	b := r.Admit("b", "test")
+	r.NoteCompleted(a.ID)
+	r.NoteCompleted(a.ID)
+	r.NoteCompleted(b.ID)
+	r.NoteCompleted(99) // unknown member: ignored
+	r.MarkDead(b.ID)
+	r.NoteCompleted(b.ID) // a late result still credits the dead member
+	members := r.Members()
+	if members[0].Completed != 2 || members[1].Completed != 2 {
+		t.Fatalf("completed = %d,%d, want 2,2", members[0].Completed, members[1].Completed)
 	}
-	// Redistribution supersedes the old holder.
-	lt.grant(1, 11, 2)
-	if hs := lt.holders(1); len(hs) != 1 || hs[0].Worker != 11 || hs[0].Attempt != 2 {
-		t.Fatalf("holders(1) = %+v, want member 11 attempt 2", hs)
+
+	r.NoteRevoked(3, 2)
+	r.NoteRevoked(1, 0)
+	_, _, _, revoked, reassigned := r.MembershipCounts()
+	if revoked != 4 || reassigned != 2 {
+		t.Fatalf("revoked=%d reassigned=%d, want 4,2", revoked, reassigned)
 	}
-	// The superseded member no longer owns vertex 1.
-	revoked := lt.revokeMember(10)
-	if len(revoked) != 1 || revoked[0].Vertex != 2 {
-		t.Fatalf("revokeMember(10) = %+v, want only vertex 2", revoked)
+	if got := r.Metrics().LeasesRevoked; got != 4 {
+		t.Fatalf("Metrics().LeasesRevoked = %d, want 4", got)
 	}
-	if ls := lt.release(3); len(ls) != 1 || ls[0].Worker != 11 {
-		t.Fatalf("release(3) = %+v", ls)
+}
+
+// Stats.Add sums every counter and keeps the longest Elapsed, since
+// concurrent jobs overlap in wall time.
+func TestStatsAdd(t *testing.T) {
+	one := Stats{
+		Tasks: 1, Dispatches: 2, Redistributions: 3, Restored: 4, StaleResults: 5,
+		Joins: 6, Leaves: 7, Deaths: 8, LeasesRevoked: 9, Reassigned: 10,
+		BatchMessages: 11, TaskBytes: 12, Speculated: 13, SpecWon: 14, SpecWasted: 15,
+		Steals: 16, CacheHits: 17, CacheMisses: 18, BlocksShipped: 19, BlocksSkipped: 20,
+		Leaked: 21, Elapsed: 3 * time.Second,
 	}
-	if ls := lt.release(3); len(ls) != 0 {
-		t.Fatal("double release succeeded")
+	var sum Stats
+	sum.Add(one)
+	sum.Add(Stats{Elapsed: time.Second})
+	sum.Add(one)
+	want := Stats{
+		Tasks: 2, Dispatches: 4, Redistributions: 6, Restored: 8, StaleResults: 10,
+		Joins: 12, Leaves: 14, Deaths: 16, LeasesRevoked: 18, Reassigned: 20,
+		BatchMessages: 22, TaskBytes: 24, Speculated: 26, SpecWon: 28, SpecWasted: 30,
+		Steals: 32, CacheHits: 34, CacheMisses: 36, BlocksShipped: 38, BlocksSkipped: 40,
+		Leaked: 42, Elapsed: 3 * time.Second,
 	}
-	if lt.len() != 1 {
-		t.Fatalf("len = %d after revoke+release, want 1", lt.len())
+	if sum != want {
+		t.Fatalf("sum = %+v\nwant  %+v", sum, want)
+	}
+	got := sum.String()
+	for _, field := range []string{"tasks=2 ", "redist=6 ", "deaths=16 ", "spec=26/28/30 ", "steals=32 ", "elapsed=3s"} {
+		if !strings.Contains(got, field) {
+			t.Fatalf("String() = %q, missing %q", got, field)
+		}
+	}
+}
+
+// Counters.Stats materializes every ledger field and leaves the
+// membership and lease-audit fields to the caller.
+func TestCountersStats(t *testing.T) {
+	var c Counters
+	fields := []*atomic.Int64{
+		&c.Tasks, &c.Dispatches, &c.Redistributions, &c.Restored,
+		&c.StaleResults, &c.BatchMessages, &c.TaskBytes,
+		&c.Speculated, &c.SpecWon, &c.SpecWasted, &c.Steals,
+		&c.CacheHits, &c.CacheMisses, &c.BlocksShipped, &c.BlocksSkipped,
+	}
+	for i, f := range fields {
+		f.Add(int64(i + 1))
+	}
+	want := Stats{
+		Tasks: 1, Dispatches: 2, Redistributions: 3, Restored: 4,
+		StaleResults: 5, BatchMessages: 6, TaskBytes: 7,
+		Speculated: 8, SpecWon: 9, SpecWasted: 10, Steals: 11,
+		CacheHits: 12, CacheMisses: 13, BlocksShipped: 14, BlocksSkipped: 15,
+	}
+	if got := c.Stats(); got != want {
+		t.Fatalf("Stats() = %+v\nwant       %+v", got, want)
 	}
 }
 

@@ -42,9 +42,6 @@ type Hello struct {
 	// the worker was started with. Empty means "not checked" for
 	// backward compatibility of the fixed-mode tools.
 	Digest string
-	// Elastic marks a worker joining an elastic cluster (internal/cluster)
-	// rather than a fixed-size rendezvous.
-	Elastic bool
 	// Fleet marks a worker joining a shared multi-job fleet
 	// (internal/fleet): it carries no single-job digest — per-job specs
 	// are verified via the job-spec attach frames instead.

@@ -119,3 +119,86 @@ func quantile(xs []float64, q float64) float64 {
 	idx := int(q * float64(len(sorted)-1))
 	return sorted[idx]
 }
+
+// BenchmarkElasticRecovery measures the cost of elasticity on a one-job
+// fleet: the "healthy" case is a full 4-worker run with heartbeats on
+// (the steady-state overhead of the membership layer), and "kill-1-of-4"
+// is the same run with one worker killed a few vertices in — the delta is
+// the time-to-recover (detect the death, revoke the leases, recompute the
+// lost vertices elsewhere).
+func BenchmarkElasticRecovery(b *testing.B) {
+	run := func(b *testing.B, kill bool) {
+		prob, _, err := testProblem("elastic")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			f := elasticFleet(b, nil)
+			h := NewHarness(testBuilder, f.Addr(), elasticWorkerOptions(100*time.Microsecond))
+			ctx, cancel := context.WithCancel(context.Background())
+			addMembers(b, ctx, f, h, 4)
+			req := elasticJob()
+			if kill {
+				killAt := make(chan struct{})
+				req.OnProgress = progressTrigger(8, killAt)
+				go func() {
+					<-killAt
+					h.Kill(0)
+				}()
+			}
+			b.StartTimer()
+			if _, err := f.Run(ctx, prob, req); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			cancel()
+			h.Close()
+			f.Close()
+			b.StartTimer()
+		}
+	}
+	b.Run("healthy", func(b *testing.B) { run(b, false) })
+	b.Run("kill-1-of-4", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkStragglerSpeculation measures the scenario speculation exists
+// for, on the SW kernel: four workers, one slowed ~10x per task by the
+// harness. With speculation off every wavefront diagonal the slow worker
+// touches stalls behind it; with it on, backups race past the straggler.
+// The spec-off/spec-on ns-per-op ratio is the makespan improvement
+// recorded in EXPERIMENTS.md.
+func BenchmarkStragglerSpeculation(b *testing.B) {
+	run := func(b *testing.B, speculate bool) {
+		prob, _, err := testProblem("straggler")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			f := elasticFleet(b, func(o *Options) {
+				o.Speculate = speculate
+				o.CheckInterval = 10 * time.Millisecond
+			})
+			// 64 cells x 100µs ≈ 6.4ms of emulated work per vertex; the
+			// 60ms harness delay makes worker 0 roughly 10x slower.
+			h := NewHarness(testBuilder, f.Addr(), elasticWorkerOptions(100*time.Microsecond))
+			ctx, cancel := context.WithCancel(context.Background())
+			addMembers(b, ctx, f, h, 4)
+			h.Slow(0, 60*time.Millisecond)
+			req := elasticJob()
+			req.Name = "straggler"
+			b.StartTimer()
+			if _, err := f.Run(ctx, prob, req); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			cancel()
+			h.Close()
+			f.Close()
+			b.StartTimer()
+		}
+	}
+	b.Run("spec-off", func(b *testing.B) { run(b, false) })
+	b.Run("spec-on", func(b *testing.B) { run(b, true) })
+}

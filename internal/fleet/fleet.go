@@ -1,15 +1,15 @@
 // Package fleet is the shared-fleet control plane: one master process
 // running N concurrent DAG jobs over a single elastic worker pool.
 //
-// It splits what cluster.Master fuses into one struct. The fleet owns the
-// shared half — the listener, membership registry, member connections,
-// heartbeats and hunger beacons — while each submitted job owns the
-// DAG-progress half: its graph, parser, block store, register table
-// (attempt namespace), overtime queue, lease table, checkpoint log,
-// runtime profile and stats ledger. Task and result frames carry a job id
-// (comm.Message.Job, wire protocol v3), and a worker attaches a job's
-// kernel state on first contact via a job-spec frame, so one worker holds
-// batches from several jobs at once.
+// The fleet owns the shared half — the listener, membership registry,
+// member connections, heartbeats and hunger beacons — while each
+// submitted job owns the DAG-progress half: its graph, parser, block
+// store, register table (attempt namespace), overtime queue, lease table,
+// checkpoint log, runtime profile and stats ledger. Task and result
+// frames carry a job id (comm.Message.Job, wire protocol v3), and a worker
+// attaches a job's kernel state on first contact via a job-spec frame, so
+// one worker holds batches from several jobs at once. A single elastic
+// run (easyhps-launch -elastic) is a fleet with one job.
 //
 // Which job feeds the next ready batch to an idle worker is decided by a
 // pluggable Policy; the default FairShare dispatches to the eligible job
@@ -19,8 +19,8 @@
 // its retries are capped by its own MaxAttempts and bounded by its quota,
 // and the healthy jobs keep draining.
 //
-// See docs/FLEET.md for the scheduler policy, the job-scoped lease
-// lifecycle, and the wire-protocol changes.
+// See docs/FLEET.md for the membership state machine, the scheduler
+// policy, the job-scoped lease lifecycle, and the wire-protocol changes.
 package fleet
 
 import (
@@ -70,11 +70,16 @@ type Options struct {
 	// Policy picks the job that feeds each idle worker (default
 	// FairShare).
 	Policy Policy
-	// Speculate enables speculative re-execution per job, with the same
-	// quantile machinery as the single-job master.
+	// Speculate enables speculative re-execution per job: an attempt
+	// running longer than its job's runtime-profile threshold gets a
+	// backup on another member, and the first result wins.
 	Speculate bool
-	// SpecQuantile, SpecMultiplier, SpecMinSamples and SpecFloor tune
-	// speculation exactly as in cluster.Options.
+	// SpecQuantile is the runtime-profile quantile an attempt must
+	// outlive to become a speculation candidate (default 0.95);
+	// SpecMultiplier scales it into the age threshold (default 2);
+	// SpecMinSamples is how many completed vertices a job must observe
+	// before speculation arms (default 8); SpecFloor is the minimum age
+	// threshold (default CheckInterval).
 	SpecQuantile   float64
 	SpecMultiplier float64
 	SpecMinSamples int
@@ -217,11 +222,11 @@ type Fleet[T any] struct {
 	tuner   *tune.Controller
 	retired tune.Sample
 
-	// progressMu/progressC/progressGen let observers (tests) wait for
-	// scheduling progress without polling: noteProgress bumps the
-	// generation and broadcasts after dispatch grants, applied results,
-	// control ticks, and job retirement. Leaf lock — never held while
-	// taking mu, connMu, or attachMu.
+	// progressMu/progressC/progressGen let observers (WaitMembers, tests)
+	// wait for scheduling progress without polling: noteProgress bumps
+	// the generation and broadcasts after admissions, revocations,
+	// dispatch grants, applied results, control ticks, job retirement and
+	// Close. Leaf lock — never held while taking mu, connMu, or attachMu.
 	progressMu  sync.Mutex
 	progressC   *sync.Cond
 	progressGen uint64
@@ -371,8 +376,31 @@ func (f *Fleet[T]) Close() {
 			_ = mc.cn.Send(comm.Message{Kind: comm.KindEnd})
 			mc.close()
 		}
+		f.noteProgress() // wake WaitMembers
 	})
 	f.wg.Wait()
+}
+
+// WaitMembers blocks until at least n members are live, ctx ends (its
+// error is returned), or the fleet closes (ErrFleetClosed). It is the
+// quorum gate of a single-job run: submit only once enough workers have
+// joined, so the first wave spreads across them.
+func (f *Fleet[T]) WaitMembers(ctx context.Context, n int) error {
+	stop := context.AfterFunc(ctx, f.noteProgress)
+	defer stop()
+	for {
+		gen := f.progressGeneration()
+		if f.reg.Live() >= n {
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if f.fleetClosed() {
+			return ErrFleetClosed
+		}
+		f.waitProgress(gen, nil)
+	}
 }
 
 // ErrFleetClosed fails jobs still running when the fleet shuts down.
@@ -600,6 +628,7 @@ func (f *Fleet[T]) admit(c net.Conn) {
 	f.connMu.Unlock()
 	go f.pump(mc)
 	go f.senderLoop(mc)
+	f.noteProgress() // the member is live (WaitMembers)
 }
 
 // pump reads one member's messages into the fleet inbox; a connection
@@ -1219,7 +1248,7 @@ func (f *Fleet[T]) requeueReady(jb *job[T], ids []int32) {
 }
 
 // memberDown declares a member dead and reassigns its leases across all
-// jobs. Idempotent, like the single-job master's.
+// jobs. Idempotent.
 func (f *Fleet[T]) memberDown(member int) {
 	if !f.reg.MarkDead(member) {
 		return
@@ -1272,6 +1301,7 @@ func (f *Fleet[T]) revoke(member int) {
 		f.requeue(jb, requeue...)
 	}
 	f.reg.NoteRevoked(revoked, reassignedTotal)
+	f.noteProgress()
 }
 
 // controlLoop is the fleet's fault-tolerance thread: heartbeat sweeps at
@@ -1404,10 +1434,10 @@ func (f *Fleet[T]) tickJob(jb *job[T], now time.Time) {
 	}
 }
 
-// maybeSpeculate flags jb's straggling attempts for backup dispatch,
-// with the same profile-threshold machinery as the single-job master but
-// a per-job budget, so one job's stragglers cannot spend the pool's
-// entire speculation allowance.
+// maybeSpeculate flags jb's straggling attempts for backup dispatch once
+// they outlive the job's runtime-profile threshold, with a per-job
+// budget, so one job's stragglers cannot spend the pool's entire
+// speculation allowance.
 func (f *Fleet[T]) maybeSpeculate(jb *job[T]) {
 	f.mu.Lock()
 	queued := len(jb.ready)

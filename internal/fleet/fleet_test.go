@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -42,6 +41,17 @@ func testProblem(name string) (core.Problem[int32], [][]int32, error) {
 	case "ckpt":
 		e := dp.NewEditDistance(dp.RandomDNA(32, 31), dp.RandomDNA(32, 32))
 		return e.Problem(), e.Sequential(), nil
+	case "elastic":
+		// Partitioned 8x8 by elasticJob: large enough that faults land
+		// mid-run, small enough for the race detector.
+		e := dp.NewEditDistance(dp.RandomDNA(64, 51), dp.RandomDNA(64, 52))
+		return e.Problem(), e.Sequential(), nil
+	case "straggler":
+		// Smith-Waterman, whose narrow wavefront makes a slow worker gate
+		// whole diagonals.
+		a := dp.RandomDNA(64, 61)
+		s := dp.NewSWGG(a, dp.MutateSeq(a, dp.DNAAlphabet, 0.3, 62))
+		return s.Problem(), s.Sequential(), nil
 	}
 	return core.Problem[int32]{}, nil, fmt.Errorf("unknown test job %q", name)
 }
@@ -102,70 +112,11 @@ func waitUntil(t *testing.T, f *Fleet[int32], what string, cond func() bool) {
 	}
 }
 
-// killProxy is a TCP relay the test can sever abruptly, simulating a
-// worker crash (RST/close rather than a graceful Leave frame).
-type killProxy struct {
-	ln     net.Listener
-	target string
-	mu     sync.Mutex
-	conns  []net.Conn
-	wg     sync.WaitGroup
-}
-
-func newKillProxy(t *testing.T, target string) *killProxy {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &killProxy{ln: ln, target: target}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			up, err := net.Dial("tcp", p.target)
-			if err != nil {
-				c.Close()
-				continue
-			}
-			p.mu.Lock()
-			p.conns = append(p.conns, c, up)
-			p.mu.Unlock()
-			go func() { _, _ = io.Copy(up, c); up.Close(); c.Close() }()
-			go func() { _, _ = io.Copy(c, up); up.Close(); c.Close() }()
-		}
-	}()
-	return p
-}
-
-func (p *killProxy) Addr() string { return p.ln.Addr().String() }
-
-// Kill severs every proxied connection at once.
-func (p *killProxy) Kill() {
-	p.mu.Lock()
-	conns := p.conns
-	p.conns = nil
-	p.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-func (p *killProxy) Close() {
-	p.ln.Close()
-	p.Kill()
-	p.wg.Wait()
-}
-
 // TestFleetConcurrentJobsWorkerKill is the shared-fleet integration test:
 // three different DP jobs run concurrently over four workers, one worker
-// is killed mid-run through a proxy, and every job must still assemble a
-// matrix bit-identical to its sequential reference with a clean per-job
-// lease audit.
+// is killed mid-run through its harness proxy, and every job must still
+// assemble a matrix bit-identical to its sequential reference with a
+// clean per-job lease audit.
 func TestFleetConcurrentJobsWorkerKill(t *testing.T) {
 	f, err := New[int32](Options{
 		Addr:              "127.0.0.1:0",
@@ -180,32 +131,27 @@ func TestFleetConcurrentJobsWorkerKill(t *testing.T) {
 	}
 	defer f.Close()
 
-	proxy := newKillProxy(t, f.Addr())
-	defer proxy.Close()
-
 	wctx, stopWorkers := context.WithCancel(context.Background())
 	defer stopWorkers()
-	var wwg sync.WaitGroup
-	startWorker := func(addr, name string, hunger time.Duration) {
-		wwg.Add(1)
-		go func() {
-			defer wwg.Done()
-			_ = RunWorker(wctx, testBuilder, WorkerOptions{
-				Addr:              addr,
-				Name:              name,
-				HeartbeatInterval: 50 * time.Millisecond,
-				Run:               core.Config{Threads: 2, Batch: 2},
-				TaskDelay:         func() time.Duration { return 3 * time.Millisecond },
-				HungerAfter:       hunger,
-			})
-		}()
+	// Four workers, each through a harness proxy: one announces hunger so
+	// the steal path runs, and the last one is killed mid-run.
+	wopts := WorkerOptions{
+		HeartbeatInterval: 50 * time.Millisecond,
+		Run:               core.Config{Threads: 2, Batch: 2},
 	}
-	startWorker(f.Addr(), "w0", 30*time.Millisecond)
-	startWorker(f.Addr(), "w1", 0)
-	startWorker(f.Addr(), "w2", 0)
-	// The fourth worker joins through the proxy so the test can sever its
-	// connection mid-run.
-	startWorker(proxy.Addr(), "victim", 0)
+	hungry := wopts
+	hungry.HungerAfter = 30 * time.Millisecond
+	hh := NewHarness(testBuilder, f.Addr(), hungry)
+	defer hh.Close()
+	h := NewHarness(testBuilder, f.Addr(), wopts)
+	defer h.Close()
+	for i, hr := range []*Harness[int32]{hh, h, h, h} {
+		idx, err := hr.Add(wctx)
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+		hr.Slow(idx, 3*time.Millisecond)
+	}
 
 	jobs := []string{"edit", "nussinov", "swgg"}
 	type outcome struct {
@@ -224,11 +170,11 @@ func TestFleetConcurrentJobsWorkerKill(t *testing.T) {
 		}(i, name, prob)
 	}
 
-	// Sever the proxied worker once the fleet is demonstrably mid-run.
+	// Sever the victim once the fleet is demonstrably mid-run.
 	waitUntil(t, f, "mid-run progress", func() bool {
 		return f.Snapshot().Aggregate.Tasks >= 16
 	})
-	proxy.Kill()
+	h.Kill(2)
 
 	jwg.Wait()
 	for i, name := range jobs {
@@ -256,7 +202,6 @@ func TestFleetConcurrentJobsWorkerKill(t *testing.T) {
 	}
 	stopWorkers()
 	f.Close()
-	wwg.Wait()
 }
 
 // runSwallowDriver joins the fleet as a protocol-driver worker that

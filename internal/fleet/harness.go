@@ -1,4 +1,4 @@
-package cluster
+package fleet
 
 import (
 	"context"
@@ -7,20 +7,18 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/core"
 )
 
-// Harness runs an in-process elastic cluster worker fleet for tests and
-// benchmarks, with fault injection. Every worker connects to the master
-// through its own TCP proxy, so a test can fail the link (Kill), freeze
+// Harness runs in-process fleet workers for tests and benchmarks, with
+// fault injection. Every worker connects to the fleet through its own TCP
+// proxy, so a test can fail the link (Kill), freeze
 // it without closing it (Partition/Heal — the half-open case heartbeats
 // exist for), or slow the member's compute (Slow), all without reaching
 // into the worker's goroutines.
 type Harness[T any] struct {
-	p      core.Problem[T]
-	master string
-	opts   WorkerOptions
+	build Builder[T]
+	addr  string
+	opts  WorkerOptions
 
 	mu      sync.Mutex
 	workers []*harnessWorker
@@ -35,18 +33,18 @@ type harnessWorker struct {
 	err    error // valid after done is closed
 }
 
-// NewHarness prepares a harness whose workers solve p against the master
-// at masterAddr. opts is the per-worker template; Addr, Name and
-// TaskDelay are overridden per worker.
-func NewHarness[T any](p core.Problem[T], masterAddr string, opts WorkerOptions) *Harness[T] {
-	return &Harness[T]{p: p, master: masterAddr, opts: opts}
+// NewHarness prepares a harness whose workers join the fleet at addr and
+// attach jobs through build. opts is the per-worker template; Addr, Name
+// and TaskDelay are overridden per worker.
+func NewHarness[T any](build Builder[T], addr string, opts WorkerOptions) *Harness[T] {
+	return &Harness[T]{build: build, addr: addr, opts: opts}
 }
 
 // Add starts one worker (joining through a fresh proxy) and returns its
-// harness index. Adding while the run is underway is exactly the elastic
-// mid-run join.
+// harness index. Adding while a job runs is exactly the elastic mid-run
+// join.
 func (h *Harness[T]) Add(ctx context.Context) (int, error) {
-	px, err := newProxy(h.master)
+	px, err := newProxy(h.addr)
 	if err != nil {
 		return 0, err
 	}
@@ -66,7 +64,7 @@ func (h *Harness[T]) Add(ctx context.Context) (int, error) {
 		defer h.wg.Done()
 		defer close(w.done)
 		defer cancel()
-		w.err = RunWorker(wctx, h.p, opts)
+		w.err = RunWorker(wctx, h.build, opts)
 	}()
 	return idx, nil
 }
@@ -81,7 +79,7 @@ func (h *Harness[T]) worker(i int) *harnessWorker {
 }
 
 // Kill fails worker i abruptly: its proxy closes every connection with no
-// Leave frame, emulating a crashed process. The master notices through
+// Leave frame, emulating a crashed process. The fleet notices through
 // the connection error (fast path) or the heartbeat deadline.
 func (h *Harness[T]) Kill(i int) {
 	if w := h.worker(i); w != nil {
@@ -125,7 +123,7 @@ func (h *Harness[T]) Slow(i int, d time.Duration) {
 func (h *Harness[T]) Err(i int) error {
 	w := h.worker(i)
 	if w == nil {
-		return fmt.Errorf("cluster: harness has no worker %d", i)
+		return fmt.Errorf("fleet: harness has no worker %d", i)
 	}
 	<-w.done
 	return w.err

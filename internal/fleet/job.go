@@ -141,11 +141,10 @@ type JobStatus struct {
 	Stats   cluster.Stats
 }
 
-// job is the DAG-progress half of what used to be cluster.Master: one
-// graph, parser, store, register table, overtime queue, lease table,
-// checkpoint log and stats ledger — everything scoped to a single DAG —
-// while the fleet owns the shared half (membership, connections,
-// heartbeats, hunger).
+// job is the DAG-progress half of a fleet run: one graph, parser, store,
+// register table, overtime queue, lease table, checkpoint log and stats
+// ledger — everything scoped to a single DAG — while the fleet owns the
+// shared half (membership, connections, heartbeats, hunger).
 type job[T any] struct {
 	id   int32
 	req  JobRequest
@@ -188,7 +187,8 @@ type job[T any] struct {
 	// guard); control loop only.
 	timeouts map[int32]int
 
-	// Speculation bookkeeping, same protocol as cluster.Master.
+	// Speculation bookkeeping: specPending flags vertices queued for a
+	// backup; backupOf maps a racing vertex to its backup attempt.
 	specMu      sync.Mutex
 	specPending map[int32]bool
 	backupOf    map[int32]int32
@@ -297,8 +297,7 @@ func (jb *job[T]) commit(v int32, payload []byte, b *matrix.Block[T]) error {
 }
 
 // restore replays the job's checkpoint prefix (when configured) and
-// returns the computable frontier. Mirrors the single-job master's
-// restore, scoped to this job's graph and store.
+// returns the computable frontier, scoped to this job's graph and store.
 func (jb *job[T]) restore() ([]int32, error) {
 	ready := make(map[int32]bool)
 	for _, id := range jb.parser.InitialReady() {

@@ -228,17 +228,17 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	}
 }
 
-// TestFleetAdmitRejectsNonFleetWorker pins the join contract: an elastic
-// (single-job) worker is refused with a hint to restart with -fleet.
+// TestFleetAdmitRejectsNonFleetWorker pins the join contract: a
+// fixed-mode worker is refused with a hint to restart with -fleet.
 func TestFleetAdmitRejectsNonFleetWorker(t *testing.T) {
 	f, err := New[int32](Options{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	_, _, err = comm.DialHello(f.Addr(), comm.Hello{Elastic: true}, 2*time.Second)
+	_, _, err = comm.DialHello(f.Addr(), comm.Hello{Rank: 1}, 2*time.Second)
 	if err == nil || !strings.Contains(err.Error(), "-fleet") {
-		t.Fatalf("elastic join = %v, want a refusal naming -fleet", err)
+		t.Fatalf("fixed-mode join = %v, want a refusal naming -fleet", err)
 	}
 	if f.Registry() == nil {
 		t.Fatal("Registry() = nil")

@@ -21,8 +21,8 @@ import (
 //	GET    /healthz           liveness                    -> 200
 //
 // Error mapping: bad spec 400, unknown job 404, result-not-ready or
-// cancel-after-finish 409, queue full 429 (+ Retry-After seconds),
-// shutting down 503.
+// cancel-after-finish 409, submit body larger than any admissible spec
+// 413, queue full 429 (+ Retry-After seconds), shutting down 503.
 type API struct {
 	mgr *Manager
 }
@@ -77,13 +77,28 @@ func (a *API) writeError(w http.ResponseWriter, err error) {
 		code = http.StatusNotFound
 	case errors.Is(err, ErrNotDone), errors.Is(err, ErrFinished):
 		code = http.StatusConflict
+	case errors.As(err, new(*http.MaxBytesError)):
+		code = http.StatusRequestEntityTooLarge
 	}
 	writeJSON(w, code, body)
 }
 
+// maxSubmitBytes bounds a submit body so that every spec under the
+// MaxCells admission limit fits: an a×b matrix takes a+b <= maxCells+1
+// sequence bytes, each at most six bytes once JSON-escaped (\u00XX), and
+// 64 KiB covers the remaining fields and formatting.
+func maxSubmitBytes(maxCells int64) int64 {
+	return 6*(maxCells+1) + 64<<10
+}
+
 func (a *API) submit(w http.ResponseWriter, r *http.Request) {
+	limit := maxSubmitBytes(a.mgr.cfg.MaxCells)
+	if r.ContentLength > limit {
+		a.writeError(w, fmt.Errorf("job spec body of %d bytes: %w", r.ContentLength, &http.MaxBytesError{Limit: limit}))
+		return
+	}
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&spec); err != nil {
 		a.writeError(w, fmt.Errorf("decoding job spec: %w", err))
 		return
 	}

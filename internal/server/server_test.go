@@ -1,8 +1,12 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -14,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
+	"repro/internal/fleet"
 	"repro/internal/server"
 )
 
@@ -345,9 +350,9 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestClusterMetricsExposition checks that an attached elastic cluster's
-// membership snapshot surfaces on /metrics — and that nothing
-// cluster-related is emitted when no cluster is attached.
+// TestClusterMetricsExposition checks that an attached fleet's membership
+// snapshot and straggler counters surface on /metrics — and that nothing
+// cluster-related is emitted when no fleet is attached.
 func TestClusterMetricsExposition(t *testing.T) {
 	mgr, c := startService(t, server.ManagerConfig{Run: fastRun(), MaxConcurrent: 1, QueueDepth: 2})
 	ctx := context.Background()
@@ -360,17 +365,16 @@ func TestClusterMetricsExposition(t *testing.T) {
 		t.Fatalf("cluster metrics exposed without a cluster attached:\n%s", text)
 	}
 
-	mgr.SetClusterStats(func() cluster.Snapshot {
-		return cluster.Snapshot{
-			States:        map[string]int{"active": 3, "suspect": 1, "dead": 1},
-			Joins:         5,
-			Leaves:        1,
-			Deaths:        1,
-			LeasesRevoked: 2,
-			Speculated:    4,
-			SpecWon:       3,
-			SpecWasted:    1,
-			Steals:        6,
+	mgr.SetFleetStats(func() fleet.Snapshot {
+		return fleet.Snapshot{
+			Members: cluster.Snapshot{
+				States:        map[string]int{"active": 3, "suspect": 1, "dead": 1},
+				Joins:         5,
+				Leaves:        1,
+				Deaths:        1,
+				LeasesRevoked: 2,
+			},
+			Aggregate: cluster.Stats{Speculated: 4, SpecWon: 3, SpecWasted: 1, Steals: 6},
 		}
 	})
 	text, err = c.Metrics(ctx)
@@ -395,6 +399,60 @@ func TestClusterMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestSubmitBodyBound pins the submit body cap: a body larger than any
+// admissible spec is refused with 413 before the spec is decoded, whether
+// it declares its length or streams chunked, while the largest admissible
+// explicit-sequence spec — every byte at its widest JSON escape — still
+// fits.
+func TestSubmitBodyBound(t *testing.T) {
+	// Large enough that the escaped sequence bytes, not the fixed slack
+	// for the other fields, dominate the bound.
+	const maxCells = 1 << 16
+	mgr, _ := startService(t, server.ManagerConfig{Run: fastRun(), MaxCells: maxCells, MaxConcurrent: 1, QueueDepth: 2})
+	ts := httptest.NewServer(server.NewHandler(mgr))
+	defer ts.Close()
+	post := func(body io.Reader) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", body)
+		if err != nil {
+			t.Fatalf("post: %v", err)
+		}
+		defer resp.Body.Close()
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+
+	huge := `{"kernel":"editdist","seq_a":"A","seq_b":"` + strings.Repeat("C", 8*maxCells) + `"}`
+	if code := post(strings.NewReader(huge)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body with a declared length: status %d, want 413", code)
+	}
+	// io.MultiReader hides the length, so the body goes out chunked and
+	// only the read cap can stop it.
+	if code := post(io.MultiReader(strings.NewReader(huge))); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized chunked body: status %d, want 413", code)
+	}
+	if n := len(mgr.List()); n != 0 {
+		t.Fatalf("%d jobs admitted from oversized bodies", n)
+	}
+
+	// A 1 x maxCells matrix carries the most sequence bytes MaxCells
+	// admits; '<' is escaped to six bytes (\u003c) by encoding/json.
+	body, err := json.Marshal(server.JobSpec{Kernel: "editdist", SeqA: "<", SeqB: strings.Repeat("<", maxCells)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) < 6*maxCells {
+		t.Fatalf("body is %d bytes; the escape did not widen it", len(body))
+	}
+	if code := post(bytes.NewReader(body)); code != http.StatusAccepted {
+		t.Fatalf("largest admissible spec: status %d, want 202", code)
+	}
+	// Only admission is under test; do not wait out the 1 x 64Ki run.
+	for _, st := range mgr.List() {
+		_ = mgr.Cancel(st.ID)
 	}
 }
 

@@ -57,18 +57,16 @@ go vet ./...
 go run ./cmd/easyhps-vet ./...
 go build ./...
 go test -race ./...
-# The elastic-cluster integration tests (kill/partition/join/restart over
-# real sockets) and the straggler-mitigation suite (fake-clock timeout and
-# speculation arbitration, duplicate-result idempotence, speculative rescue
-# and backlog stealing) are the most schedule-sensitive code in the repo;
-# run them a second time under -race with caching off so a lucky first pass
-# cannot hide a flaky membership, lease, or attempt-arbitration race.
-go test -race -count=1 -run 'TestElastic|TestMasterRestart|TestPartitioned|TestClusterRejects|TestClusterOvertimeFakeClock|TestSpeculationFakeClock|TestDuplicateResultIdempotent|TestSpeculationRescues|TestStealRebalances|TestAutoTunesOverTCP' ./internal/cluster/
-# The shared-fleet multi-job suite (concurrent DAGs with a mid-run worker
-# kill, fake-clock poisoned-job isolation, stealing/speculation scoped per
-# job, and the end-to-end fleet-mode job service) interleaves several
-# jobs' lease and attempt namespaces over one pool — rerun it uncached for
-# the same reason.
+# The single-job elastic tests (kill/partition/join/restart over real
+# sockets), the straggler-mitigation suite (fake-clock timeout arbitration,
+# duplicate-result idempotence, speculative rescue and backlog stealing)
+# and the shared-fleet multi-job suite (concurrent DAGs with a mid-run
+# worker kill, fake-clock poisoned-job isolation, stealing/speculation
+# scoped per job, and the end-to-end fleet-mode job service) are the most
+# schedule-sensitive code in the repo; run them a second time under -race
+# with caching off so a lucky first pass cannot hide a flaky membership,
+# lease, or attempt-arbitration race.
+go test -race -count=1 -run 'TestElastic|TestMasterRestart|TestPartitioned|TestClusterOvertimeFakeClock|TestDuplicateResultIdempotent|TestSpeculationRescues|TestStealRebalances' ./internal/fleet/
 go test -race -count=1 -run 'TestFleetConcurrentJobsWorkerKill|TestFleetPoisonedJobIsolationFakeClock|TestFleetSpeculationFakeClock|TestFleetStealFeedsHungryMember|TestFleetCheckpointResume|TestFleetAutoTunesOverTCP' ./internal/fleet/
 go test -race -count=1 -run 'TestFleetService' ./internal/server/
 
@@ -105,7 +103,7 @@ check_cover internal/lint 76
 go test -run '^$' -fuzz '^FuzzWireCodec$' -fuzztime 10s ./internal/comm/
 
 if [ "$soak" = 1 ]; then
-    go test -race -count=1 -tags soak -run TestSoakBatchedFaults -timeout 600s ./internal/cluster/
+    go test -race -count=1 -tags soak -run TestSoakBatchedFaults -timeout 600s ./internal/fleet/
 fi
 
 if [ "$sim" = 1 ]; then
