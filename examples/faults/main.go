@@ -32,8 +32,8 @@ func main() {
 		// the stalled slave's stale answer to arrive mid-run.
 		WorkDelayPerCell: 20 * time.Microsecond,
 		Faults: easyhps.FaultPlan{
-			// Slave 2 dies silently when it receives its 3rd task.
-			CrashOnTask: map[int]int{2: 3},
+			// Whichever slave receives sub-task 12 dies silently.
+			CrashOnVertex: map[int32]bool{12: true},
 			// The first attempt of sub-task 0 stalls past the
 			// timeout; its late answer must be dropped as stale.
 			StallFirstAttempt: map[int32]time.Duration{0: 450 * time.Millisecond},

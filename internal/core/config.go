@@ -287,10 +287,11 @@ type SubTaskID struct {
 // FaultPlan injects failures for fault-tolerance testing. The zero value
 // injects nothing.
 type FaultPlan struct {
-	// CrashOnTask makes a slave rank die silently upon receiving its
-	// k-th task (1-based): the task and every later dispatch to that
-	// rank are lost, emulating a node failure.
-	CrashOnTask map[int]int
+	// CrashOnVertex makes whichever slave receives the first dispatch of
+	// a listed processor-level vertex die silently: that task and every
+	// later dispatch to the slave are lost, emulating a node failure.
+	// Every vertex is dispatched, so the crash always fires.
+	CrashOnVertex map[int32]bool
 	// StallFirstAttempt delays the first execution attempt of a
 	// processor-level vertex by the given duration, long enough to trip
 	// the master's timeout and force a redistribution; the stalled slave
@@ -306,6 +307,6 @@ type FaultPlan struct {
 
 // empty reports whether the plan injects nothing.
 func (f FaultPlan) empty() bool {
-	return len(f.CrashOnTask) == 0 && len(f.StallFirstAttempt) == 0 &&
+	return len(f.CrashOnVertex) == 0 && len(f.StallFirstAttempt) == 0 &&
 		len(f.PanicSubTask) == 0 && len(f.StallSubTask) == 0
 }

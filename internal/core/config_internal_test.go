@@ -52,7 +52,7 @@ func TestFaultPlanEmpty(t *testing.T) {
 	if !(FaultPlan{}).empty() {
 		t.Fatal("zero plan should be empty")
 	}
-	if (FaultPlan{CrashOnTask: map[int]int{1: 1}}).empty() {
+	if (FaultPlan{CrashOnVertex: map[int32]bool{1: true}}).empty() {
 		t.Fatal("crash plan reported empty")
 	}
 	if newFaultState(FaultPlan{}) != nil {

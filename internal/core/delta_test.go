@@ -101,7 +101,7 @@ func TestDeltaShippingWithCrash(t *testing.T) {
 		TaskTimeout:     150 * time.Millisecond,
 		CheckInterval:   20 * time.Millisecond,
 		RunTimeout:      time.Minute,
-		Faults:          core.FaultPlan{CrashOnTask: map[int]int{2: 2}},
+		Faults:          core.FaultPlan{CrashOnVertex: map[int32]bool{14: true}},
 	}
 	res, err := core.Run(e.Problem(), cfg)
 	if err != nil {
@@ -186,7 +186,7 @@ func TestAffinityWithFaults(t *testing.T) {
 		TaskTimeout:     150 * time.Millisecond,
 		CheckInterval:   20 * time.Millisecond,
 		RunTimeout:      time.Minute,
-		Faults:          core.FaultPlan{CrashOnTask: map[int]int{1: 3}},
+		Faults:          core.FaultPlan{CrashOnVertex: map[int32]bool{15: true}},
 	}
 	res, err := core.Run(e.Problem(), cfg)
 	if err != nil {

@@ -31,7 +31,7 @@ func TestSlaveCrashRecovered(t *testing.T) {
 	b := dp.RandomDNA(60, 32)
 	e := dp.NewEditDistance(a, b)
 	cfg := faultConfig()
-	cfg.Faults = core.FaultPlan{CrashOnTask: map[int]int{2: 3}} // slave 2 dies on its 3rd task
+	cfg.Faults = core.FaultPlan{CrashOnVertex: map[int32]bool{5: true}} // vertex 5's first holder dies
 	res, err := core.Run(e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestTwoSlavesCrashRecovered(t *testing.T) {
 	cfg.Slaves = 4
 	cfg.ProcPartition = dag.Square(10) // 6x6 grid: every slave sees several tasks
 	cfg.ThreadPartition = dag.Square(4)
-	cfg.Faults = core.FaultPlan{CrashOnTask: map[int]int{1: 2, 3: 3}}
+	cfg.Faults = core.FaultPlan{CrashOnVertex: map[int32]bool{8: true, 20: true}} // two slaves die
 	res, err := core.Run(e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestNussinovWithFaults(t *testing.T) {
 	cfg.ProcPartition = dag.Square(10)
 	cfg.ThreadPartition = dag.Square(4)
 	cfg.Faults = core.FaultPlan{
-		CrashOnTask:       map[int]int{1: 2},
+		CrashOnVertex:     map[int32]bool{6: true},
 		PanicSubTask:      map[core.SubTaskID]bool{{Proc: 3, Sub: 1}: true},
 		StallFirstAttempt: map[int32]time.Duration{5: 400 * time.Millisecond},
 	}
@@ -159,7 +159,9 @@ func TestAllSlavesDeadAborts(t *testing.T) {
 	cfg := faultConfig()
 	cfg.Slaves = 2
 	cfg.RunTimeout = 2 * time.Second
-	cfg.Faults = core.FaultPlan{CrashOnTask: map[int]int{1: 1, 2: 1}}
+	// The root's first holder dies; its successor's first holder — the
+	// other slave, the dead one never asks for work again — dies too.
+	cfg.Faults = core.FaultPlan{CrashOnVertex: map[int32]bool{0: true, 1: true}}
 	_, err := core.Run(e.Problem(), cfg)
 	if err == nil {
 		t.Fatal("run with all slaves dead returned success")

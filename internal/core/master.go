@@ -899,10 +899,11 @@ func (m *master[T]) maybeSteal() {
 			continue
 		}
 		// Victim: the slave with the deepest backlog, at least two leases
-		// deep (the head entry is the one it is executing right now).
+		// deep (the head entry is the one it is executing right now); a
+		// tie goes to the lowest rank, not to map order.
 		victim, deepest := 0, 1
 		for w, n := range m.leases.Loads() {
-			if w != s && n > deepest {
+			if w != s && (n > deepest || n == deepest && w < victim) {
 				victim, deepest = w, n
 			}
 		}

@@ -221,7 +221,7 @@ func TestReclaimWithCheckpointAndFaults(t *testing.T) {
 		TaskTimeout:     150 * time.Millisecond,
 		CheckInterval:   20 * time.Millisecond,
 		RunTimeout:      time.Minute,
-		Faults:          core.FaultPlan{CrashOnTask: map[int]int{1: 2}},
+		Faults:          core.FaultPlan{CrashOnVertex: map[int32]bool{9: true}},
 	}
 	res, err := core.Run(e.Problem(), cfg)
 	if err != nil {

@@ -25,7 +25,9 @@ func runSlave[T any](p Problem[T], cfg Config, tr comm.Transport, faults *faultS
 	// the cache never goes stale within a run.
 	var cache []*matrix.Block[T]
 	if err := tr.Send(0, comm.Message{Kind: comm.KindIdle}); err != nil {
-		return err
+		// The master finished (and closed the transport) before this
+		// slave's first word: the run is over, exactly as a failed Recv.
+		return nil
 	}
 	for {
 		msg, err := tr.Recv()
@@ -41,7 +43,7 @@ func runSlave[T any](p Problem[T], cfg Config, tr comm.Transport, faults *faultS
 			// timeout path reassigns this slave's work.
 			return fmt.Errorf("core: slave %d received unexpected %v frame", rank, msg.Kind)
 		case comm.KindTask:
-			if faults.crashNow(rank) {
+			if faults.crashNow(msg.Vertex) {
 				// Injected node failure: die without a word.
 				return nil
 			}
@@ -83,7 +85,7 @@ func runSlave[T any](p Problem[T], cfg Config, tr comm.Transport, faults *faultS
 			}
 			var results []comm.TaskEntry
 			for idx, e := range msg.Batch {
-				if faults.crashNow(rank) {
+				if faults.crashNow(e.Vertex) {
 					// Injected node failure mid-batch: results not yet
 					// flushed are lost with the node.
 					return nil

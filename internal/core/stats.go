@@ -117,33 +117,20 @@ func (c *counters) snapshot() Stats {
 type faultState struct {
 	plan FaultPlan
 
-	mu       sync.Mutex
-	received map[int]int // slave rank -> tasks received
-	fired    map[string]bool
+	mu    sync.Mutex
+	fired map[string]bool
 }
 
 func newFaultState(plan FaultPlan) *faultState {
 	if plan.empty() {
 		return nil
 	}
-	return &faultState{
-		plan:     plan,
-		received: make(map[int]int),
-		fired:    make(map[string]bool),
-	}
+	return &faultState{plan: plan, fired: make(map[string]bool)}
 }
 
-// crashNow reports whether the slave with the given rank should die upon
-// this task reception.
-func (f *faultState) crashNow(rank int) bool {
-	if f == nil || len(f.plan.CrashOnTask) == 0 {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.received[rank]++
-	k, ok := f.plan.CrashOnTask[rank]
-	return ok && f.received[rank] == k
+// crashNow reports whether the slave receiving vertex v should die.
+func (f *faultState) crashNow(v int32) bool {
+	return f != nil && f.plan.CrashOnVertex[v] && f.once(fmt.Sprintf("crash-vertex-%d", v))
 }
 
 // once returns true the first time key is seen.

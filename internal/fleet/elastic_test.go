@@ -349,7 +349,7 @@ func TestStealRebalancesBacklog(t *testing.T) {
 }
 
 // drawReady pops the top of jb's ready stack the way nextBatch does.
-func drawReady(t *testing.T, f *Fleet[int32], jb *job[int32]) int32 {
+func drawReady(t *testing.T, f *Fleet[int32], jb *Job[int32]) int32 {
 	t.Helper()
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -364,9 +364,9 @@ func drawReady(t *testing.T, f *Fleet[int32], jb *job[int32]) int32 {
 // restoredJob builds job 1 of f for prob, replays its checkpoint (if
 // any) and registers it with the fleet the way Run does, with the
 // frontier on its ready stack.
-func restoredJob(t *testing.T, f *Fleet[int32], prob core.Problem[int32], req JobRequest) *job[int32] {
+func restoredJob(t *testing.T, f *Fleet[int32], prob core.Problem[int32], req JobRequest) *Job[int32] {
 	t.Helper()
-	jb, err := newJob(1, prob, req.withDefaults(f.opts), f.clock)
+	jb, err := NewJob(1, prob, req, f.opts.Options, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestClusterOvertimeFakeClock(t *testing.T) {
 		} else if v != vertex {
 			t.Fatalf("round %d: drew vertex %d, want requeued %d", round, v, vertex)
 		}
-		attempt, ok, backup, _ := f.register(jb, 1, v)
+		attempt, ok, backup, _ := jb.register(1, v)
 		if !ok || backup {
 			t.Fatalf("round %d: register = (%v, backup=%v)", round, ok, backup)
 		}
@@ -437,7 +437,7 @@ func TestClusterOvertimeFakeClock(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("timed out waiting for the MaxAttempts failure")
 	}
-	if err := jb.finalErr(); err == nil || !strings.Contains(err.Error(), "MaxAttempts") {
+	if err := jb.Err(); err == nil || !strings.Contains(err.Error(), "MaxAttempts") {
 		t.Fatalf("job error = %v, want MaxAttempts failure", err)
 	}
 	if got := jb.ctrs.Redistributions.Load(); got != maxAttempts-1 {
@@ -510,9 +510,9 @@ func TestDuplicateResultIdempotent(t *testing.T) {
 
 			applied := 0
 			var wantWon, wantWasted int64
-			for !jb.finished() {
+			for !jb.Finished() {
 				v := drawReady(t, f, jb)
-				orig, ok, backup, _ := f.register(jb, w1, v)
+				orig, ok, backup, _ := jb.register(w1, v)
 				if !ok || backup {
 					t.Fatalf("vertex %d: original register = (%v, backup=%v)", v, ok, backup)
 				}
@@ -520,7 +520,7 @@ func TestDuplicateResultIdempotent(t *testing.T) {
 				jb.specMu.Lock()
 				jb.specPending[v] = true
 				jb.specMu.Unlock()
-				spec, ok, backup, _ := f.register(jb, w2, v)
+				spec, ok, backup, _ := jb.register(w2, v)
 				if !ok || !backup {
 					t.Fatalf("vertex %d: backup register = (%v, backup=%v)", v, ok, backup)
 				}
@@ -558,7 +558,7 @@ func TestDuplicateResultIdempotent(t *testing.T) {
 				applied++
 			}
 
-			if err := jb.finalErr(); err != nil {
+			if err := jb.Err(); err != nil {
 				t.Fatal(err)
 			}
 			if !jb.parser.Finished() {
@@ -589,11 +589,11 @@ func TestDuplicateResultIdempotent(t *testing.T) {
 
 			// A fresh job must replay the checkpoint to the same matrix: the
 			// duplicate deliveries wrote each vertex exactly once.
-			jb2, err := newJob(2, prob, req.withDefaults(f.opts), f.clock)
+			jb2, err := NewJob(2, prob, req, f.opts.Options, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer jb2.finish(nil, f.clock.Now()) // closes the checkpoint file
+			defer jb2.Finish(nil, f.clock.Now()) // closes the checkpoint file
 			if _, err := jb2.restore(); err != nil {
 				t.Fatal(err)
 			}

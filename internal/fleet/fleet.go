@@ -3,9 +3,9 @@
 //
 // The fleet owns the shared half — the listener, membership registry,
 // member connections, heartbeats and hunger beacons — while each
-// submitted job owns the DAG-progress half: its graph, parser, block
-// store, register table (attempt namespace), overtime queue, lease table,
-// checkpoint log, runtime profile and stats ledger. Task and result
+// submitted job owns the DAG-progress half, a Job: the one definition of
+// the per-job scheduling state machine, which the deterministic
+// simulator (internal/sim) drives as well. Task and result
 // frames carry a job id (comm.Message.Job, wire protocol v3), and a worker
 // attaches a job's kernel state on first contact via a job-spec frame, so
 // one worker holds batches from several jobs at once. A single elastic
@@ -36,7 +36,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/dag"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -162,6 +161,54 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Knobs are the scheduling knobs in effect for a pool of jobs: the
+// defaulted options and, under Auto, the self-tuning controller that owns
+// the batch cap and the speculation thresholds.
+type Knobs struct {
+	Options
+	tuner *tune.Controller
+}
+
+// NewKnobs defaults o and starts the tuner when o.Auto.
+func NewKnobs(o Options) *Knobs {
+	k := &Knobs{Options: o.withDefaults()}
+	if k.Auto {
+		k.tuner = tune.New(tune.DefaultLimits(), k.Batch, k.SpecQuantile, k.SpecMultiplier, k.SpecMinSamples)
+	}
+	return k
+}
+
+// Tuner is the self-tuning controller, nil unless Auto.
+func (k *Knobs) Tuner() *tune.Controller { return k.tuner }
+
+// BatchCap is the dispatch batch bound in effect right now.
+func (k *Knobs) BatchCap() int {
+	if k.tuner != nil {
+		return k.tuner.BatchCap()
+	}
+	return k.Batch
+}
+
+// SpecParams is the speculation threshold pair in effect right now.
+func (k *Knobs) SpecParams() (quantile, multiplier float64) {
+	if k.tuner != nil {
+		return k.tuner.SpecParams()
+	}
+	return k.SpecQuantile, k.SpecMultiplier
+}
+
+// Tick feeds one control tick's observation (see TuneSample) to the
+// tuner, tracing a changed decision as an EvTune event on Options.Trace.
+// A no-op without Auto.
+func (k *Knobs) Tick(s tune.Sample) {
+	if k.tuner == nil {
+		return
+	}
+	if d := k.tuner.Tick(s); d.Changed {
+		k.Trace.Tune(d.BatchCap, d.Reason)
+	}
+}
+
 // Snapshot is the fleet's monitoring surface: per-job progress, job-state
 // counts, and the autoscaling signals (aggregate queue depth, hunger
 // rate, per-job deficit).
@@ -186,7 +233,7 @@ type Snapshot struct {
 // pool. Create with New, submit jobs with Run (one goroutine per job,
 // typically the job service's run slots), stop with Close.
 type Fleet[T any] struct {
-	opts Options
+	opts *Knobs
 
 	ln    net.Listener
 	reg   *cluster.Registry
@@ -202,9 +249,9 @@ type Fleet[T any] struct {
 	// when work or shutdown arrives.
 	mu      sync.Mutex
 	cond    *sync.Cond
-	jobs    map[int32]*job[T]
+	jobs    map[int32]*Job[T]
 	order   []int32 // running jobs, submission order
-	doneLog []*job[T]
+	doneLog []*Job[T]
 	nextID  int32
 	closed  bool
 
@@ -215,11 +262,9 @@ type Fleet[T any] struct {
 	hungers atomic.Int64
 	stale   atomic.Int64 // results for unknown/finished jobs
 
-	// tuner is the self-tuning controller, non-nil iff Options.Auto.
 	// retired (guarded by mu) folds the counters of retired jobs into
 	// the tuner's cumulative sample so it stays monotone after jobs
 	// leave the running table.
-	tuner   *tune.Controller
 	retired tune.Sample
 
 	// progressMu/progressC/progressGen let observers (WaitMembers, tests)
@@ -313,8 +358,8 @@ func (mc *memberConn) stopped() bool {
 
 // New builds a fleet and starts listening on opts.Addr. Workers may join
 // immediately; jobs arrive via Run.
-func New[T any](opts Options) (*Fleet[T], error) {
-	opts = opts.withDefaults()
+func New[T any](o Options) (*Fleet[T], error) {
+	opts := NewKnobs(o)
 	ln, err := net.Listen("tcp", opts.Addr)
 	if err != nil {
 		return nil, err
@@ -326,15 +371,11 @@ func New[T any](opts Options) (*Fleet[T], error) {
 		clock: opts.Clock,
 		inbox: make(chan event, 256),
 		conns: make(map[int]*memberConn),
-		jobs:  make(map[int32]*job[T]),
+		jobs:  make(map[int32]*Job[T]),
 		done:  make(chan struct{}),
 	}
 	f.cond = sync.NewCond(&f.mu)
 	f.progressC = sync.NewCond(&f.progressMu)
-	if opts.Auto {
-		f.tuner = tune.New(tune.DefaultLimits(), opts.Batch,
-			opts.SpecQuantile, opts.SpecMultiplier, opts.SpecMinSamples)
-	}
 	f.wg.Add(3)
 	go func() { defer f.wg.Done(); f.acceptLoop() }()
 	go func() { defer f.wg.Done(); f.recvLoop() }()
@@ -354,15 +395,12 @@ func (f *Fleet[T]) Close() {
 	f.doneOnce.Do(func() {
 		f.mu.Lock()
 		f.closed = true
-		running := make([]*job[T], 0, len(f.order))
-		for _, id := range f.order {
-			running = append(running, f.jobs[id])
-		}
+		running := f.running()
 		f.cond.Broadcast()
 		f.mu.Unlock()
 		now := f.clock.Now()
 		for _, jb := range running {
-			jb.finish(ErrFleetClosed, now)
+			jb.Finish(ErrFleetClosed, now)
 		}
 		close(f.done)
 		f.ln.Close()
@@ -409,7 +447,6 @@ var ErrFleetClosed = errors.New("fleet: closed")
 // Run submits one job and blocks until it completes, fails, or ctx is
 // cancelled. Jobs run concurrently: call Run from one goroutine per job.
 func (f *Fleet[T]) Run(ctx context.Context, p core.Problem[T], req JobRequest) (*Result[T], error) {
-	req = req.withDefaults(f.opts)
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
@@ -419,39 +456,18 @@ func (f *Fleet[T]) Run(ctx context.Context, p core.Problem[T], req JobRequest) (
 	id := f.nextID
 	f.mu.Unlock()
 
-	if f.opts.Auto && !req.Proc.Valid() {
-		// Partition advisor: pick the block size from the kernel's cost
-		// model and the membership at submission. Workers follow the
-		// job-spec frame's Proc, so the choice cannot diverge.
-		cm, _ := p.Kernel.(tune.CostModel)
-		workers := f.reg.Live()
-		if workers < 1 {
-			workers = 1
-		}
-		req.Proc = tune.AdvisePartition(p.Size.Rows, p.Size.Cols, workers, cm)
-	}
-	jb, err := newJob(id, p, req, f.clock)
+	jb, err := NewJob(id, p, req, f.opts.Options, f.reg.Live())
 	if err != nil {
 		return nil, err
 	}
-	if f.opts.Cache != nil && req.CacheKey != "" {
-		jb.cache = f.opts.Cache
-		jb.cacheSpec = req.CacheKey
-		jb.resultKey = make([]cas.Key, len(jb.graph.Verts))
-	}
-	frontier, err := jb.restore()
-	if err != nil {
+	// Start replays the checkpoint and drains the cross-job cache before
+	// the job is registered: hits commit without drawing leases, and a
+	// fully restored or cached job never touches the pool at all.
+	if err := jb.Start(); err != nil {
 		return nil, err
 	}
-	// Drain the cross-job cache before the job is registered: hits commit
-	// without drawing leases, and a fully cached job never touches the
-	// pool at all.
-	frontier = f.absorbCached(jb, frontier)
-	if jb.finished() {
-		if err := jb.finalErr(); err != nil {
-			return nil, err
-		}
-		return &Result[T]{Store: jb.store, Stats: jb.stats()}, nil
+	if jb.Finished() {
+		return jb.result()
 	}
 
 	f.mu.Lock()
@@ -464,35 +480,42 @@ func (f *Fleet[T]) Run(ctx context.Context, p core.Problem[T], req JobRequest) (
 	}
 	f.jobs[id] = jb
 	f.order = append(f.order, id)
-	jb.ready = append(jb.ready, frontier...)
-	jb.tr.Ready(len(jb.ready))
-	if jb.parser.Finished() {
-		// Fully restored from the checkpoint: nothing to schedule.
-		f.mu.Unlock()
-		jb.finish(nil, f.clock.Now())
-		f.retire(jb)
-	} else {
-		f.cond.Broadcast()
-		f.mu.Unlock()
-	}
+	f.cond.Broadcast()
+	f.mu.Unlock()
 	f.noteProgress() // the job is admitted and observable
 
 	select {
 	case <-ctx.Done():
-		jb.finish(ctx.Err(), f.clock.Now())
-		f.retire(jb)
+		jb.Finish(ctx.Err(), f.clock.Now())
 	case <-jb.done:
 	}
-	if err := jb.finalErr(); err != nil {
+	// Whoever finished the job retires it too; retiring here as well
+	// (idempotent) means a caller that sees Run return never sees the
+	// job still in the running table.
+	f.retire(jb)
+	return jb.result()
+}
+
+func (jb *Job[T]) result() (*Result[T], error) {
+	if err := jb.Err(); err != nil {
 		return nil, err
 	}
-	return &Result[T]{Store: jb.store, Stats: jb.stats()}, nil
+	return &Result[T]{Store: jb.store, Stats: jb.Stats()}, nil
+}
+
+// running lists the running jobs in submission order; callers hold f.mu.
+func (f *Fleet[T]) running() []*Job[T] {
+	running := make([]*Job[T], len(f.order))
+	for i, id := range f.order {
+		running[i] = f.jobs[id]
+	}
+	return running
 }
 
 // retire removes a finished job from the running table (idempotent),
 // drops its queued work, notifies attached workers to free the job's
 // kernel state, and keeps the job queryable in the done log.
-func (f *Fleet[T]) retire(jb *job[T]) {
+func (f *Fleet[T]) retire(jb *Job[T]) {
 	defer f.noteProgress()
 	f.mu.Lock()
 	if _, ok := f.jobs[jb.id]; !ok {
@@ -509,14 +532,10 @@ func (f *Fleet[T]) retire(jb *job[T]) {
 	jb.ready = nil
 	// Fold the job's counters into the retired baseline so the tuner's
 	// cumulative sample stays monotone after the job leaves the table.
-	f.retired.Dispatches += jb.ctrs.Dispatches.Load()
-	f.retired.TaskBytes += jb.ctrs.TaskBytes.Load()
-	f.retired.Steals += jb.ctrs.Steals.Load()
-	f.retired.SpecWon += jb.ctrs.SpecWon.Load()
-	f.retired.SpecWasted += jb.ctrs.SpecWasted.Load()
+	f.retired = TuneSample(f.retired, []*Job[T]{jb})
 	f.doneLog = append(f.doneLog, jb)
 	if over := len(f.doneLog) - f.opts.RetainJobs; over > 0 {
-		f.doneLog = append([]*job[T](nil), f.doneLog[over:]...)
+		f.doneLog = append([]*Job[T](nil), f.doneLog[over:]...)
 	}
 	f.cond.Broadcast()
 	f.mu.Unlock()
@@ -556,7 +575,7 @@ func (f *Fleet[T]) retire(jb *job[T]) {
 }
 
 // jobByID returns the running or retained job with the given id.
-func (f *Fleet[T]) jobByID(id int32) *job[T] {
+func (f *Fleet[T]) jobByID(id int32) *Job[T] {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if jb, ok := f.jobs[id]; ok {
@@ -674,8 +693,8 @@ func (f *Fleet[T]) senderLoop(mc *memberConn) {
 			if mc.stopped() {
 				// The member died while this sender waited for work;
 				// hand the vertices back for a live member.
+				jb.drawn.Add(-int64(len(ids)))
 				f.requeue(jb, ids...)
-				f.undraw(jb, len(ids))
 				return
 			}
 			if f.dispatch(mc, jb, ids) {
@@ -694,85 +713,27 @@ func (f *Fleet[T]) fleetClosed() bool {
 }
 
 // nextBatch blocks until the policy can hand member mc a batch from some
-// job, the fleet closes, or the member stops. It returns the chosen job
-// and the drawn vertices (LIFO off the job's ready stack, never mixing
-// jobs), charging the job's fair-share account for the draw.
-func (f *Fleet[T]) nextBatch(mc *memberConn) (*job[T], []int32, bool) {
+// job (see NextBatch), the fleet closes, or the member stops.
+func (f *Fleet[T]) nextBatch(mc *memberConn) (*Job[T], []int32, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for {
 		if f.closed || mc.stopped() {
 			return nil, nil, false
 		}
-		views := make([]JobView, len(f.order))
-		jobs := make([]*job[T], len(f.order))
-		for i, id := range f.order {
-			jb := f.jobs[id]
-			jobs[i] = jb
-			views[i] = JobView{
-				ID:       id,
-				Weight:   jb.req.Weight,
-				Priority: jb.req.Priority,
-				Ready:    len(jb.ready),
-				// Vertices drawn by a concurrent sender but not yet leased
-				// count against the quota too, so racing senders cannot
-				// overshoot a job's in-flight bound between draw and grant.
-				Inflight: jb.leases.Len() + jb.drawn,
-				Quota:    jb.req.Quota,
-				Served:   jb.served,
-			}
-		}
-		if i := f.opts.Policy.Pick(views); i >= 0 {
-			jb := jobs[i]
-			n := f.batchCap()
-			if q := views[i].Quota; q > 0 {
-				if room := q - views[i].Inflight; room < n {
-					n = room
-				}
-			}
-			if n < 1 {
-				n = 1
-			}
-			if n > len(jb.ready) {
-				n = len(jb.ready)
-			}
-			ids := make([]int32, n)
-			copy(ids, jb.ready[len(jb.ready)-n:])
-			jb.ready = jb.ready[:len(jb.ready)-n]
-			jb.served += float64(n) / jb.req.Weight
-			jb.drawn += n
+		if jb, ids := NextBatch(f.opts.Policy, f.running(), f.opts.BatchCap()); jb != nil {
 			return jb, ids, true
 		}
 		f.cond.Wait()
 	}
 }
 
-// undraw drops n from jb's drawn-but-not-yet-leased count (see
-// nextBatch): called once the batch's vertices are leased, requeued or
-// dead, so the quota view stops double-counting them.
-func (f *Fleet[T]) undraw(jb *job[T], n int) {
+// requeue puts vertices back on jb's ready stack (see Job.Requeue) and
+// wakes senders.
+func (f *Fleet[T]) requeue(jb *Job[T], ids ...int32) {
 	f.mu.Lock()
-	jb.drawn -= n
-	// Dropping the drawn charge can open quota room for senders blocked
-	// on an at-quota job; wake them to re-evaluate.
+	jb.Requeue(ids...)
 	f.cond.Broadcast()
-	f.mu.Unlock()
-}
-
-// requeue puts vertices back on jb's ready stack and wakes senders.
-func (f *Fleet[T]) requeue(jb *job[T], ids ...int32) {
-	if len(ids) == 0 {
-		return
-	}
-	f.mu.Lock()
-	if _, running := f.jobs[jb.id]; running {
-		jb.ready = append(jb.ready, ids...)
-		// Requeues were already charged on first dispatch; refund so a
-		// job does not pay fair-share twice for work it never kept.
-		jb.served -= float64(len(ids)) / jb.req.Weight
-		jb.tr.Ready(len(jb.ready))
-		f.cond.Broadcast()
-	}
 	f.mu.Unlock()
 }
 
@@ -780,67 +741,17 @@ func (f *Fleet[T]) requeue(jb *job[T], ids ...int32) {
 // them in one job-tagged message, attaching the job's spec first if this
 // member has never seen it. Returns false when every vertex turned out to
 // be already finished.
-func (f *Fleet[T]) dispatch(mc *memberConn, jb *job[T], ids []int32) bool {
-	// The draw in nextBatch counted these vertices toward the job's quota;
-	// drop that charge once their fate is settled (leases granted, vertices
-	// requeued, or the batch dead). The defer runs after every return path
-	// below has either granted the lease or unwound it.
-	defer f.undraw(jb, len(ids))
+func (f *Fleet[T]) dispatch(mc *memberConn, jb *Job[T], ids []int32) bool {
 	defer f.noteProgress()
-	if jb.finished() {
-		return false
-	}
-	now := f.clock.Now()
-	// pend holds the registered vertices with their gathered data regions;
-	// encoding is deferred so that in cache mode the known-set decisions
-	// (full block vs content-key reference) happen under attachMu, ordered
-	// against the detach that clears the member's set.
-	type pendingTask struct {
-		vertex, attempt int32
-		deps            []int32
-		blocks          []*matrix.Block[T]
-	}
-	pend := make([]pendingTask, 0, len(ids))
-	// held collects speculation-flagged vertices this member already runs
-	// the primary attempt of: their flag is restored by register, and they
-	// go back on the ready stack for another member to back up.
-	var held []int32
-	for _, v := range ids {
-		attempt, ok, backup, self := f.register(jb, mc.id, v)
-		if !ok {
-			if self {
-				held = append(held, v)
-			}
-			continue
-		}
-		deps := jb.graph.Vertex(v).DataPre
-		positions := make([]dag.Pos, len(deps))
-		for k, d := range deps {
-			positions[k] = jb.geom.PosOf(d)
-		}
-		blocks := jb.store.Gather(positions)
-		deadline := now.Add(jb.req.TaskTimeout * time.Duration(len(pend)+1))
-		if backup {
-			jb.leases.Add(v, mc.id, attempt, now)
-			jb.ot.AddConcurrent(v, attempt, deadline)
-			jb.ctrs.Speculated.Add(1)
-			jb.tr.Speculate(mc.id, v)
-		} else {
-			jb.leases.Grant(v, mc.id, attempt, now)
-			jb.ot.Add(v, attempt, deadline)
-		}
-		jb.tr.TaskStart(mc.id, v)
-		jb.ctrs.Dispatches.Add(1)
-		pend = append(pend, pendingTask{vertex: v, attempt: attempt, deps: deps, blocks: blocks})
-	}
-	if len(held) > 0 {
-		f.requeue(jb, held...)
-	}
+	tasks, held := jb.Lease(mc.id, ids)
+	// Lease dropped the draw's quota charge and held vertices go back for
+	// another member to back up; either can unblock a waiting sender.
+	f.requeue(jb, held...)
 	// Leases and dispatch counters are settled; publish before the send
 	// section, which can block under attachMu, so observers see the
 	// grants while the wire write is still in flight.
 	f.noteProgress()
-	if len(pend) == 0 {
+	if len(tasks) == 0 {
 		// When the whole draw was backups this member holds the primary
 		// of, consume the idle token: drawing again right away could pop
 		// the same vertices forever. Another member's sender picks them up.
@@ -848,35 +759,35 @@ func (f *Fleet[T]) dispatch(mc *memberConn, jb *job[T], ids []int32) bool {
 	}
 	// encode builds each task's payload. Cache mode uses the keyed wire
 	// format: blocks the member provably holds become references, the
-	// rest ship in full and are noted as held. Must run under attachMu.
+	// rest ship in full and are noted as held. Must run under attachMu,
+	// ordered against the detach that clears the member's known-set.
 	encode := func() ([]comm.TaskEntry, error) {
-		entries := make([]comm.TaskEntry, 0, len(pend))
-		for _, pt := range pend {
+		entries := make([]comm.TaskEntry, 0, len(tasks))
+		for _, t := range tasks {
 			var payload []byte
 			var err error
 			if jb.cache != nil && mc.known != nil {
-				full := make([]matrix.KeyedBlock[T], 0, len(pt.blocks))
+				full := make([]matrix.KeyedBlock[T], 0, len(t.Blocks))
 				var refs []matrix.BlockRef
-				for i, d := range pt.deps {
+				for i, d := range t.Deps {
 					k := jb.resultKey[d]
 					if mc.known.Knows(k) {
-						refs = append(refs, matrix.BlockRef{Key: [32]byte(k), Rect: pt.blocks[i].Rect})
+						refs = append(refs, matrix.BlockRef{Key: [32]byte(k), Rect: t.Blocks[i].Rect})
 						jb.ctrs.BlocksSkipped.Add(1)
 						continue
 					}
 					mc.known.Note(k)
-					full = append(full, matrix.KeyedBlock[T]{Key: [32]byte(k), Block: pt.blocks[i]})
+					full = append(full, matrix.KeyedBlock[T]{Key: [32]byte(k), Block: t.Blocks[i]})
 					jb.ctrs.BlocksShipped.Add(1)
 				}
 				payload, err = matrix.EncodeBlocksKeyed(jb.p.Codec, full, refs)
 			} else {
-				jb.ctrs.BlocksShipped.Add(int64(len(pt.blocks)))
-				payload, err = matrix.EncodeBlocks(jb.p.Codec, pt.blocks)
+				payload, err = jb.Encode(t)
 			}
 			if err != nil {
-				return nil, fmt.Errorf("fleet: encoding data region of vertex %d: %w", pt.vertex, err)
+				return nil, fmt.Errorf("fleet: encoding data region of vertex %d: %w", t.Vertex, err)
 			}
-			entries = append(entries, comm.TaskEntry{Vertex: pt.vertex, Attempt: pt.attempt, Payload: payload})
+			entries = append(entries, comm.TaskEntry{Vertex: t.Vertex, Attempt: t.Attempt, Payload: payload})
 		}
 		return entries, nil
 	}
@@ -887,31 +798,18 @@ func (f *Fleet[T]) dispatch(mc *memberConn, jb *job[T], ids []int32) bool {
 	// spec after JobEnd and leak the job's kernel state on the worker.
 	// Drop the batch instead and unwind the leases granted above.
 	mc.attachMu.Lock()
-	if jb.finished() {
+	if jb.Finished() {
 		mc.attachMu.Unlock()
-		for _, pt := range pend {
-			jb.leases.ReleaseAttempt(pt.vertex, pt.attempt)
-			jb.ot.RemoveAttempt(pt.vertex, pt.attempt)
-			jb.noteAttemptGone(pt.vertex, pt.attempt)
-			jb.rt.CancelAttempt(pt.vertex, pt.attempt)
-		}
+		jb.unlease(tasks)
 		return false
 	}
 	entries, encErr := encode()
 	var err error
 	if encErr == nil {
-		bytes := 0
-		for _, e := range entries {
-			bytes += len(e.Payload)
-		}
-		jb.ctrs.TaskBytes.Add(int64(bytes))
-		jb.tr.Dispatch(mc.id, len(entries), bytes)
-		var msg comm.Message
+		jb.Sent(mc.id, entries)
+		msg := comm.Message{Kind: comm.KindTaskBatch, Job: jb.id, Batch: entries}
 		if len(entries) == 1 {
 			msg = comm.Message{Kind: comm.KindTask, Job: jb.id, Vertex: entries[0].Vertex, Attempt: entries[0].Attempt, Payload: entries[0].Payload}
-		} else {
-			jb.ctrs.BatchMessages.Add(1)
-			msg = comm.Message{Kind: comm.KindTaskBatch, Job: jb.id, Batch: entries}
 		}
 		if !mc.attached[jb.id] {
 			// The connection is ordered, so the spec always precedes the
@@ -928,7 +826,7 @@ func (f *Fleet[T]) dispatch(mc *memberConn, jb *job[T], ids []int32) bool {
 	}
 	mc.attachMu.Unlock()
 	if encErr != nil {
-		jb.finish(encErr, now)
+		jb.Finish(encErr, f.clock.Now())
 		f.retire(jb)
 		return true
 	}
@@ -946,38 +844,6 @@ func (f *Fleet[T]) memberFailed(mc *memberConn) {
 	case f.inbox <- event{member: mc.id, down: true}:
 	case <-f.done:
 	}
-}
-
-// register claims an attempt of v in job jb for a member — rt.Register
-// for an ordinary draw, a concurrent backup for a speculation-flagged
-// vertex. A member never backs up its own attempt: that draw is refused
-// with held=true, the specPending flag restored, and the caller requeues
-// the vertex so another member picks up the backup promptly.
-func (f *Fleet[T]) register(jb *job[T], member int, v int32) (attempt int32, ok, backup, held bool) {
-	jb.specMu.Lock()
-	pending := jb.specPending[v]
-	delete(jb.specPending, v)
-	jb.specMu.Unlock()
-	if !pending {
-		a, ok := jb.rt.Register(v)
-		return a, ok, false, false
-	}
-	for _, l := range jb.leases.Holders(v) {
-		if l.Worker == member {
-			jb.specMu.Lock()
-			jb.specPending[v] = true
-			jb.specMu.Unlock()
-			return 0, false, false, true
-		}
-	}
-	a, ok := jb.rt.RegisterBackup(v)
-	if !ok {
-		return 0, false, false, false
-	}
-	jb.specMu.Lock()
-	jb.backupOf[v] = a
-	jb.specMu.Unlock()
-	return a, true, true, false
 }
 
 // recvLoop serializes membership and result handling for the fleet's
@@ -1049,68 +915,23 @@ func (f *Fleet[T]) echoHeartbeat(member int) {
 }
 
 // feedHungry answers a worker's hunger beacon by stealing
-// queued-but-undispatched backlog toward it: across all running jobs,
-// the (job, victim) pair with the deepest member backlog gives up the
-// newer half of its batch entries, which are cancelled and requeued on
-// that job's ready stack, where the hungry member's blocked sender picks
-// them up under the same fair-share policy.
+// queued-but-undispatched backlog toward it (see Steal); the stolen
+// vertices land on their job's ready stack, where the hungry member's
+// blocked sender picks them up under the same fair-share policy.
 func (f *Fleet[T]) feedHungry(member int) {
 	if !f.opts.Steal {
 		return
 	}
 	f.mu.Lock()
-	queued := 0
-	running := make([]*job[T], 0, len(f.order))
-	for _, id := range f.order {
-		jb := f.jobs[id]
-		queued += len(jb.ready)
-		running = append(running, jb)
+	if Steal(f.running(), member) {
+		f.cond.Broadcast()
 	}
 	f.mu.Unlock()
-	if queued > 0 {
-		// There is queued work already; the hungry member's sender is
-		// blocked in nextBatch and will draw it without help.
-		return
-	}
-	var victimJob *job[T]
-	victim, deepest := 0, 1
-	ownLoad := 0
-	for _, jb := range running {
-		ownLoad += jb.leases.Load(member)
-		for w, n := range jb.leases.Loads() {
-			if w != member && n > deepest {
-				victimJob, victim, deepest = jb, w, n
-			}
-		}
-	}
-	if ownLoad > 0 || victimJob == nil {
-		return
-	}
-	backlog := victimJob.leases.WorkerLeases(victim)
-	if len(backlog) < 2 {
-		return
-	}
-	stolen := make([]int32, 0, len(backlog)/2)
-	for _, l := range backlog[(len(backlog)+1)/2:] {
-		if victimJob.rt.LiveAttempts(l.Vertex) != 1 {
-			continue
-		}
-		victimJob.leases.ReleaseAttempt(l.Vertex, l.Attempt)
-		victimJob.ot.RemoveAttempt(l.Vertex, l.Attempt)
-		if victimJob.rt.CancelAttempt(l.Vertex, l.Attempt) == 0 {
-			stolen = append(stolen, l.Vertex)
-		}
-	}
-	if len(stolen) > 0 {
-		victimJob.ctrs.Steals.Add(int64(len(stolen)))
-		victimJob.tr.Steal(member, len(stolen))
-		f.requeue(victimJob, stolen...)
-	}
 }
 
-// applyResult commits one computed vertex to its job. Results for
-// unknown or finished jobs (a worker answering after the job retired)
-// are dropped.
+// applyResult commits one computed vertex to its job (see Job.Apply).
+// Results for unknown or finished jobs (a worker answering after the job
+// retired) are dropped.
 func (f *Fleet[T]) applyResult(member int, jobID, v, attempt int32, payload []byte) {
 	defer f.noteProgress()
 	f.mu.Lock()
@@ -1120,39 +941,11 @@ func (f *Fleet[T]) applyResult(member int, jobID, v, attempt int32, payload []by
 		f.stale.Add(1)
 		return
 	}
-	if !jb.rt.Accept(v, attempt) {
-		jb.ctrs.StaleResults.Add(1)
-		return
+	newly, ok := jb.Apply(member, v, attempt, payload)
+	if ok {
+		f.reg.NoteCompleted(member)
 	}
-	jb.ot.Remove(v)
-	now := f.clock.Now()
-	if l, ok := jb.leases.Find(v, attempt); ok {
-		jb.profile.Observe(now.Sub(l.Granted))
-	}
-	jb.leases.Release(v)
-	jb.specMu.Lock()
-	if backup, ok := jb.backupOf[v]; ok {
-		delete(jb.backupOf, v)
-		delete(jb.specPending, v)
-		if backup == attempt {
-			jb.ctrs.SpecWon.Add(1)
-		} else {
-			jb.ctrs.SpecWasted.Add(1)
-		}
-	}
-	jb.specMu.Unlock()
-	blocks, err := matrix.DecodeBlocks(jb.p.Codec, payload)
-	if err != nil || len(blocks) != 1 {
-		jb.finish(fmt.Errorf("fleet: bad result payload for vertex %d of job %q from member %d: %v", v, jb.req.Name, member, err), now)
-		f.retire(jb)
-		return
-	}
-	if err := jb.commit(v, payload, blocks[0]); err != nil {
-		jb.finish(err, now)
-		f.retire(jb)
-		return
-	}
-	if jb.cache != nil {
+	if ok && jb.cache != nil {
 		// The member computed this block, so it holds the output: note the
 		// content key so a later dispatch can ship a reference instead.
 		// Only while the job is still attached — a detach clears the set,
@@ -1169,82 +962,18 @@ func (f *Fleet[T]) applyResult(member int, jobID, v, attempt int32, payload []by
 			mc.attachMu.Unlock()
 		}
 	}
-	f.reg.NoteCompleted(member)
-	jb.tr.TaskEnd(member, v)
-	jb.ctrs.Tasks.Add(1)
-	newly := jb.parser.Complete(v)
-	jb.progress()
-	if jb.parser.Finished() {
-		jb.finish(nil, now)
+	if jb.Finished() {
 		f.retire(jb)
 		return
 	}
-	newly = f.absorbCached(jb, newly)
-	if jb.finished() {
-		return
-	}
-	f.requeueReady(jb, newly)
-}
-
-// absorbCached probes the cross-job result cache for each newly computable
-// vertex and commits hits in place, cascading: a hit's completion may open
-// further vertices, which are probed in turn. Returns the misses — the
-// vertices that still need dispatch. A corrupt cache entry degrades to a
-// miss (recompute), never to a wrong result, because commit re-derives the
-// content key from the stored payload. If the drain finishes the job it is
-// retired here and the empty remainder returned.
-func (f *Fleet[T]) absorbCached(jb *job[T], ids []int32) []int32 {
-	if jb.cache == nil {
-		return ids
-	}
-	var miss []int32
-	work := append([]int32(nil), ids...)
-	for len(work) > 0 {
-		v := work[len(work)-1]
-		work = work[:len(work)-1]
-		payload, ok := jb.cache.GetBlock(jb.blockKey(v), cas.LayerMaster)
-		var b *matrix.Block[T]
-		if ok {
-			blocks, err := matrix.DecodeBlocks(jb.p.Codec, payload)
-			if err == nil && len(blocks) == 1 {
-				b = blocks[0]
-			}
-		}
-		if b == nil {
-			jb.ctrs.CacheMisses.Add(1)
-			miss = append(miss, v)
-			continue
-		}
-		jb.ctrs.CacheHits.Add(1)
-		if err := jb.commit(v, payload, b); err != nil {
-			jb.finish(err, f.clock.Now())
-			f.retire(jb)
-			return miss
-		}
-		work = append(work, jb.parser.Complete(v)...)
-		jb.progress()
-	}
-	if jb.parser.Finished() {
-		jb.finish(nil, f.clock.Now())
-		f.retire(jb)
-	}
-	return miss
-}
-
-// requeueReady pushes newly computable vertices onto jb's ready stack.
-// Unlike requeue it does not refund fair-share (these were never
-// dispatched). It broadcasts even with nothing new: the caller just
-// released a lease, which may have opened quota room for queued work.
-func (f *Fleet[T]) requeueReady(jb *job[T], ids []int32) {
-	f.mu.Lock()
-	if _, running := f.jobs[jb.id]; running {
-		if len(ids) > 0 {
-			jb.ready = append(jb.ready, ids...)
-			jb.tr.Ready(len(jb.ready))
-		}
+	if ok {
+		// Broadcast even with nothing new: the released lease may have
+		// opened quota room for queued work.
+		f.mu.Lock()
+		jb.Enqueue(newly)
 		f.cond.Broadcast()
+		f.mu.Unlock()
 	}
-	f.mu.Unlock()
 }
 
 // memberDown declares a member dead and reassigns its leases across all
@@ -1279,28 +1008,15 @@ func (f *Fleet[T]) revoke(member int) {
 		f.cond.Broadcast()
 		f.mu.Unlock()
 	}
+	revoked, reassigned := 0, 0
 	f.mu.Lock()
-	running := make([]*job[T], 0, len(f.order))
-	for _, id := range f.order {
-		running = append(running, f.jobs[id])
+	for _, jb := range f.running() {
+		r, q := jb.Revoke(member)
+		revoked, reassigned = revoked+r, reassigned+q
 	}
+	f.cond.Broadcast()
 	f.mu.Unlock()
-	revoked, reassignedTotal := 0, 0
-	for _, jb := range running {
-		leases := jb.leases.RevokeWorker(member)
-		revoked += len(leases)
-		var requeue []int32
-		for _, l := range leases {
-			jb.ot.RemoveAttempt(l.Vertex, l.Attempt)
-			jb.noteAttemptGone(l.Vertex, l.Attempt)
-			if jb.rt.CancelAttempt(l.Vertex, l.Attempt) == 0 {
-				requeue = append(requeue, l.Vertex)
-			}
-		}
-		reassignedTotal += len(requeue)
-		f.requeue(jb, requeue...)
-	}
-	f.reg.NoteRevoked(revoked, reassignedTotal)
+	f.reg.NoteRevoked(revoked, reassigned)
 	f.noteProgress()
 }
 
@@ -1319,166 +1035,61 @@ func (f *Fleet[T]) controlLoop() {
 				f.revoke(id)
 			}
 			f.mu.Lock()
-			running := make([]*job[T], 0, len(f.order))
-			for _, id := range f.order {
-				running = append(running, f.jobs[id])
-			}
+			running := f.running()
 			f.mu.Unlock()
 			for _, jb := range running {
 				f.tickJob(jb, now)
 			}
-			if f.tuner != nil {
+			if f.opts.tuner != nil {
 				f.tuneTick()
 			}
 		}
 	}
 }
 
-// batchCap is the dispatch batch bound in effect right now: the tuner's
-// recommendation under Auto, the static option otherwise.
-func (f *Fleet[T]) batchCap() int {
-	if f.tuner != nil {
-		return f.tuner.BatchCap()
-	}
-	return f.opts.Batch
-}
-
-// specParams is the speculation threshold pair in effect right now.
-func (f *Fleet[T]) specParams() (quantile, multiplier float64) {
-	if f.tuner != nil {
-		return f.tuner.SpecParams()
-	}
-	return f.opts.SpecQuantile, f.opts.SpecMultiplier
-}
-
-// tuneTick feeds one control-tick observation to the tuner: counter
-// totals summed across running jobs plus the retired baseline, and the
-// quantile pair of whichever running job shows the heaviest straggler
-// tail — the fleet-wide thresholds must serve its worst case.
+// tuneTick feeds the tuner one observation over the running jobs plus
+// the retired baseline (see TuneSample).
 func (f *Fleet[T]) tuneTick() {
 	f.mu.Lock()
-	s := f.retired
-	var worst float64
-	for _, id := range f.order {
-		jb := f.jobs[id]
-		s.Dispatches += jb.ctrs.Dispatches.Load()
-		s.TaskBytes += jb.ctrs.TaskBytes.Load()
-		s.Steals += jb.ctrs.Steals.Load()
-		s.SpecWon += jb.ctrs.SpecWon.Load()
-		s.SpecWasted += jb.ctrs.SpecWasted.Load()
-		n := jb.profile.Samples()
-		if n == 0 {
-			continue
-		}
-		p50, _ := jb.profile.Quantile(0.5)
-		p95, _ := jb.profile.Quantile(0.95)
-		if p50 <= 0 {
-			continue
-		}
-		if d := float64(p95) / float64(p50); s.ProfileSamples == 0 || d > worst {
-			worst = d
-			s.ProfileP50, s.ProfileP95, s.ProfileSamples = p50, p95, n
-		}
-	}
+	s := TuneSample(f.retired, f.running())
 	f.mu.Unlock()
 	s.Hungers = f.hungers.Load()
-	if d := f.tuner.Tick(s); d.Changed {
-		f.opts.Trace.Tune(d.BatchCap, d.Reason)
-	}
+	f.opts.Tick(s)
 }
 
 // TuneSnapshot reports the self-tuner's current recommendations — what
 // the /metrics exposition exports as easyhps_tune_* gauges. The zero
 // snapshot (ok=false) means the fleet runs with static knobs.
 func (f *Fleet[T]) TuneSnapshot() (tune.Snapshot, bool) {
-	if f.tuner == nil {
+	if f.opts.tuner == nil {
 		return tune.Snapshot{}, false
 	}
-	return f.tuner.Snapshot(), true
+	return f.opts.tuner.Snapshot(), true
 }
 
-// tickJob applies one control tick to one job: overtime expiry with the
-// job's own MaxAttempts cap (a poisoned job fails alone), the job
-// deadline, and speculation flagging. Requeues and failures stay inside
-// the job's lease/attempt namespace.
-func (f *Fleet[T]) tickJob(jb *job[T], now time.Time) {
+// tickJob applies one control tick to one job: the deadline and overtime
+// expiry (see Job.Expire), then speculation flagging. Requeues and
+// failures stay inside the job's lease/attempt namespace.
+func (f *Fleet[T]) tickJob(jb *Job[T], now time.Time) {
 	defer f.noteProgress()
-	if jb.finished() {
-		return
-	}
-	if !jb.deadline.IsZero() && now.After(jb.deadline) {
-		jb.finish(fmt.Errorf("fleet: job %q exceeded its %v timeout with %d vertices remaining",
-			jb.req.Name, jb.req.Timeout, jb.parser.Remaining()), now)
+	requeue := jb.Expire(now)
+	if jb.Finished() {
 		f.retire(jb)
 		return
 	}
-	var requeue []int32
-	for _, e := range jb.ot.ExpireBefore(now) {
-		jb.leases.ReleaseAttempt(e.ID, e.Attempt)
-		jb.noteAttemptGone(e.ID, e.Attempt)
-		jb.timeouts[e.ID]++
-		if jb.timeouts[e.ID] >= jb.req.MaxAttempts {
-			jb.finish(fmt.Errorf("fleet: job %q: vertex %d timed out %d times (MaxAttempts); giving up",
-				jb.req.Name, e.ID, jb.timeouts[e.ID]), now)
-			f.retire(jb)
-			return
-		}
-		if jb.rt.CancelAttempt(e.ID, e.Attempt) == 0 {
-			jb.ctrs.Redistributions.Add(1)
-			requeue = append(requeue, e.ID)
-		}
-	}
-	f.requeue(jb, requeue...)
-	if f.opts.Speculate {
-		f.maybeSpeculate(jb)
-	}
-}
-
-// maybeSpeculate flags jb's straggling attempts for backup dispatch once
-// they outlive the job's runtime-profile threshold, with a per-job
-// budget, so one job's stragglers cannot spend the pool's entire
-// speculation allowance.
-func (f *Fleet[T]) maybeSpeculate(jb *job[T]) {
+	live := f.reg.Live()
 	f.mu.Lock()
-	queued := len(jb.ready)
+	jb.Requeue(requeue...)
+	jb.Speculate(f.opts, live)
+	f.cond.Broadcast()
 	f.mu.Unlock()
-	if queued > 0 {
-		return
-	}
-	q, mult := f.specParams()
-	threshold, ok := jb.profile.Threshold(q, mult, f.opts.SpecFloor, f.opts.SpecMinSamples)
-	if !ok {
-		return
-	}
-	budget := f.reg.Live()
-	var flagged []int32
-	for _, l := range jb.leases.OlderThan(f.clock.Now().Add(-threshold)) {
-		if budget == 0 {
-			break
-		}
-		if jb.rt.LiveAttempts(l.Vertex) != 1 {
-			continue
-		}
-		jb.specMu.Lock()
-		skip := jb.specPending[l.Vertex]
-		if !skip {
-			jb.specPending[l.Vertex] = true
-		}
-		jb.specMu.Unlock()
-		if skip {
-			continue
-		}
-		flagged = append(flagged, l.Vertex)
-		budget--
-	}
-	f.requeueReady(jb, flagged)
 }
 
 // TraceEvents returns the recorded scheduling events of the named job
 // (running or retained), or nil when unknown.
 func (f *Fleet[T]) TraceEvents(name string) []trace.Event {
 	f.mu.Lock()
-	var found *job[T]
+	var found *Job[T]
 	for _, id := range f.order {
 		if jb := f.jobs[id]; jb.req.Name == name {
 			found = jb
@@ -1504,7 +1115,7 @@ func (f *Fleet[T]) TraceEvents(name string) []trace.Event {
 func (f *Fleet[T]) Snapshot() Snapshot {
 	f.mu.Lock()
 	type row struct {
-		jb     *job[T]
+		jb     *Job[T]
 		ready  int
 		drawn  int
 		served float64
@@ -1514,7 +1125,7 @@ func (f *Fleet[T]) Snapshot() Snapshot {
 	maxServed := 0.0
 	for _, id := range f.order {
 		jb := f.jobs[id]
-		rows = append(rows, row{jb, len(jb.ready), jb.drawn, jb.served})
+		rows = append(rows, row{jb, len(jb.ready), int(jb.drawn.Load()), jb.served})
 		queueDepth += len(jb.ready)
 		if jb.served > maxServed {
 			maxServed = jb.served
@@ -1543,12 +1154,12 @@ func (f *Fleet[T]) Snapshot() Snapshot {
 			Inflight: jb.leases.Len() + r.drawn,
 			Weight:   jb.req.Weight,
 			Priority: jb.req.Priority,
-			Stats:    jb.stats(),
+			Stats:    jb.Stats(),
 		}
 		if i < running {
 			st.State = "running"
 			st.Deficit = maxServed - r.served
-		} else if jb.finalErr() != nil {
+		} else if jb.Err() != nil {
 			st.State = "failed"
 		} else {
 			st.State = "done"

@@ -367,9 +367,9 @@ func TestFleetNextBatchWeightedFairShare(t *testing.T) {
 	}
 	defer f.Close()
 	prob, _ := mustProblem(t, "edit")
-	mk := func(id int32, weight float64) *job[int32] {
+	mk := func(id int32, weight float64) *Job[int32] {
 		t.Helper()
-		jb, err := newJob(id, prob, JobRequest{Name: fmt.Sprintf("j%d", id), Weight: weight}.withDefaults(f.opts), f.clock)
+		jb, err := NewJob(id, prob, JobRequest{Name: fmt.Sprintf("j%d", id), Weight: weight}, f.opts.Options, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,7 +414,7 @@ func TestFleetNextBatchQuotaClampsBatch(t *testing.T) {
 	}
 	defer f.Close()
 	prob, _ := mustProblem(t, "edit")
-	jb, err := newJob(1, prob, JobRequest{Name: "q", Quota: 3}.withDefaults(f.opts), f.clock)
+	jb, err := NewJob(1, prob, JobRequest{Name: "q", Quota: 3}, f.opts.Options, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +454,7 @@ func TestFleetDispatchRetireOrdering(t *testing.T) {
 	}
 	defer f.Close()
 	prob, _ := mustProblem(t, "nussinov")
-	jb, err := newJob(1, prob, JobRequest{Name: "order"}.withDefaults(f.opts), f.clock)
+	jb, err := NewJob(1, prob, JobRequest{Name: "order"}, f.opts.Options, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,10 +492,10 @@ func TestFleetDispatchRetireOrdering(t *testing.T) {
 	f.conns[1] = mc
 	f.connMu.Unlock()
 
-	// Mimic nextBatch's drawn charge so dispatch's undraw balances.
+	// Mimic nextBatch's drawn charge, which Lease settles.
 	draw := func() {
 		f.mu.Lock()
-		jb.drawn++
+		jb.drawn.Add(1)
 		f.mu.Unlock()
 	}
 
@@ -519,7 +519,7 @@ func TestFleetDispatchRetireOrdering(t *testing.T) {
 	dispatched := make(chan bool, 1)
 	go func() { dispatched <- f.dispatch(mc, jb, []int32{roots[1]}) }()
 	waitUntil(t, f, "second dispatch leasing", func() bool { return jb.leases.Len() == 2 })
-	jb.finish(nil, f.clock.Now())
+	jb.Finish(nil, f.clock.Now())
 	mc.attachMu.Unlock()
 	if <-dispatched {
 		t.Fatal("dispatch shipped a batch for a finishing job")

@@ -6,17 +6,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cas"
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
+	"repro/internal/tune"
 )
 
 // JobRequest describes one DAG submitted to the shared fleet.
@@ -141,15 +145,25 @@ type JobStatus struct {
 	Stats   cluster.Stats
 }
 
-// job is the DAG-progress half of a fleet run: one graph, parser, store,
-// register table, overtime queue, lease table, checkpoint log and stats
-// ledger — everything scoped to a single DAG — while the fleet owns the
-// shared half (membership, connections, heartbeats, hunger).
-type job[T any] struct {
-	id   int32
-	req  JobRequest
-	p    core.Problem[T]
-	meta []byte // encoded JobMeta, shipped in attach frames
+// Job is one DAG's scheduling state machine — graph, parser, block store,
+// register table (attempt namespace), overtime queue, lease table, runtime
+// profile, ready stack, checkpoint log and stats ledger — and the only
+// definition of its decisions: backup arbitration, lease grant and
+// overtime arming, result acceptance, overtime expiry and the deadline,
+// speculation, revocation and stealing. Fleet drives it over member
+// connections; internal/sim drives the same type under a discrete-event
+// loop, so a simulated schedule is a statement about this code.
+//
+// The ready stack (NextBatch, Requeue, Enqueue, Served, Revoke, Speculate,
+// Steal) belongs to the host: the caller serializes those methods, which
+// the fleet does with its mutex. The rest lock internally, except that
+// Apply and Expire each run on one goroutine at a time.
+type Job[T any] struct {
+	id    int32
+	req   JobRequest
+	p     core.Problem[T]
+	meta  []byte // encoded JobMeta, shipped in attach frames
+	clock sched.Clock
 
 	geom    dag.Geometry
 	graph   *dag.Graph
@@ -165,26 +179,26 @@ type job[T any] struct {
 
 	// Cross-job memoization (Options.Cache + JobRequest.CacheKey).
 	// resultKey[v] is the content key of v's committed payload, written
-	// only where parser and store are mutated (Fleet.Run's startup and
-	// the recv loop); senders reading a completed dependency's key in
-	// dispatch are ordered behind the write by the fleet mutex, which
-	// already serializes the ready handoff.
+	// only where parser and store are mutated (Start and Apply); senders
+	// reading a completed dependency's key in dispatch are ordered behind
+	// the write by the host's ready-stack serialization, which already
+	// orders the ready handoff.
 	cache     *cas.Store
 	cacheSpec string
 	resultKey []cas.Key
 
 	// ready is the job's computable-vertex stack (LIFO, like the
-	// single-job dispatcher); guarded by the fleet's mutex, which also
-	// covers served and drawn for the policy's consistent view.
+	// single-job dispatcher) and served its fair-share account; both
+	// belong to the host's serialization (see the type doc).
 	ready  []int32
 	served float64
-	// drawn counts vertices a sender has taken off ready but not yet
-	// leased in dispatch; the policy adds it to Inflight so concurrent
+	// drawn counts vertices NextBatch has taken off ready that Lease has
+	// not settled yet; the policy adds it to Inflight so concurrent
 	// senders cannot overshoot the job's quota in that window.
-	drawn int
+	drawn atomic.Int64
 
 	// timeouts counts overtime expiries per vertex (the MaxAttempts
-	// guard); control loop only.
+	// guard); Expire only.
 	timeouts map[int32]int
 
 	// Speculation bookkeeping: specPending flags vertices queued for a
@@ -196,7 +210,7 @@ type job[T any] struct {
 	ctrs cluster.Counters
 	tr   *trace.Recorder
 
-	start    time.Time // fleet clock, for Timeout
+	start    time.Time // job clock, for Timeout
 	deadline time.Time // zero = no bound
 
 	done     chan struct{}
@@ -207,9 +221,13 @@ type job[T any] struct {
 	elapsed  time.Duration
 }
 
-// newJob builds the per-job runtime state. The caller (Fleet.Run)
-// registers it with the fleet.
-func newJob[T any](id int32, p core.Problem[T], req JobRequest, clock sched.Clock) (*job[T], error) {
+// NewJob builds a job's state from a request and defaulted options (see
+// NewKnobs). The request inherits the options' defaults; an unset
+// partition comes from the cost-model advisor under Auto, sized for live
+// members, or else from the ~8x8-cell rule core.Config applies. The job's
+// clock, deadline and trace recorder run on opts.Clock.
+func NewJob[T any](id int32, p core.Problem[T], req JobRequest, opts Options, live int) (*Job[T], error) {
+	req = req.withDefaults(opts)
 	if p.Kernel == nil {
 		return nil, fmt.Errorf("fleet: job %q has no kernel", req.Name)
 	}
@@ -220,32 +238,43 @@ func newJob[T any](id int32, p core.Problem[T], req JobRequest, clock sched.Cloc
 		return nil, fmt.Errorf("fleet: job %q has invalid size %v", req.Name, p.Size)
 	}
 	proc := req.Proc
-	if !proc.Valid() {
+	if !proc.Valid() && opts.Auto {
+		// Partition advisor: workers follow the attach frame's Proc, so
+		// the choice cannot diverge.
+		cm, _ := p.Kernel.(tune.CostModel)
+		proc = tune.AdvisePartition(p.Size.Rows, p.Size.Cols, max(live, 1), cm)
+	} else if !proc.Valid() {
 		proc = dag.Size{Rows: (p.Size.Rows + 7) / 8, Cols: (p.Size.Cols + 7) / 8}
 	}
 	geom := dag.MatrixGeometry(p.Size, proc)
 	graph := dag.Build(p.Kernel.Pattern(), geom)
-	jb := &job[T]{
+	jb := &Job[T]{
 		id:          id,
 		req:         req,
 		p:           p,
+		clock:       opts.Clock,
 		geom:        geom,
 		graph:       graph,
 		parser:      dag.NewParser(graph),
 		store:       matrix.NewStore[T](geom),
 		rt:          sched.NewRegisterTable(),
-		ot:          sched.NewOvertimeQueueClock(clock),
+		ot:          sched.NewOvertimeQueueClock(opts.Clock),
 		leases:      sched.NewLeaseTable(),
 		profile:     sched.NewRuntimeProfile(0),
 		timeouts:    make(map[int32]int),
 		specPending: make(map[int32]bool),
 		backupOf:    make(map[int32]int32),
-		tr:          trace.New(),
-		start:       clock.Now(),
+		tr:          trace.NewWithNow(opts.Clock.Now),
+		start:       opts.Clock.Now(),
 		done:        make(chan struct{}),
 	}
 	if req.Timeout > 0 {
 		jb.deadline = jb.start.Add(req.Timeout)
+	}
+	if opts.Cache != nil && req.CacheKey != "" {
+		jb.cache = opts.Cache
+		jb.cacheSpec = req.CacheKey
+		jb.resultKey = make([]cas.Key, len(graph.Verts))
 	}
 	meta := JobMeta{
 		Job:    id,
@@ -265,11 +294,462 @@ func newJob[T any](id int32, p core.Problem[T], req JobRequest, clock sched.Cloc
 	return jb, nil
 }
 
+// Start restores the checkpoint prefix (when configured), drains the
+// cross-job cache over the computable frontier, and stacks the misses as
+// ready. Call it once, before the job is visible to any other goroutine;
+// the job is finished on return when checkpoint and cache held all of it.
+func (jb *Job[T]) Start() error {
+	frontier, err := jb.restore()
+	if err != nil {
+		return err
+	}
+	jb.Enqueue(jb.absorbCached(frontier))
+	if jb.parser.Finished() {
+		jb.Finish(nil, jb.clock.Now())
+	}
+	return nil
+}
+
+// Finish ends the job exactly once, recording err (nil for success), the
+// leak audit (register-table plus lease entries still live — zero for a
+// clean finish), and the makespan.
+func (jb *Job[T]) Finish(err error, now time.Time) {
+	jb.doneOnce.Do(func() {
+		jb.errMu.Lock()
+		jb.err = err
+		jb.leaked = int64(jb.rt.Outstanding() + jb.leases.Len())
+		jb.elapsed = now.Sub(jb.start)
+		jb.errMu.Unlock()
+		if jb.ckptFile != nil {
+			jb.ckptFile.Close()
+		}
+		close(jb.done)
+	})
+}
+
+// Finished reports whether the job reached its terminal state.
+func (jb *Job[T]) Finished() bool {
+	select {
+	case <-jb.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// Err is the job's terminal error (nil while running or on success).
+func (jb *Job[T]) Err() error {
+	jb.errMu.Lock()
+	defer jb.errMu.Unlock()
+	return jb.err
+}
+
+// Stats materializes the job's ledger. Membership fields stay zero —
+// joins and deaths belong to the fleet, not to any one job — except the
+// lease audit, which is per job.
+func (jb *Job[T]) Stats() cluster.Stats {
+	s := jb.ctrs.Stats()
+	jb.errMu.Lock()
+	if jb.Finished() {
+		s.Leaked = jb.leaked
+		s.Elapsed = jb.elapsed
+	}
+	jb.errMu.Unlock()
+	return s
+}
+
+// Store is the job's block store (complete once the job succeeded).
+func (jb *Job[T]) Store() matrix.BlockStore[T] { return jb.store }
+
+// Trace is the job's scheduling-event recorder.
+func (jb *Job[T]) Trace() *trace.Recorder { return jb.tr }
+
+// Served is the job's normalized fair-share service (drawn/weight, net of
+// requeue refunds); a ready-stack method.
+func (jb *Job[T]) Served() float64 { return jb.served }
+
+// NextBatch asks policy which running job feeds the next dispatch and
+// draws that job's batch LIFO off its ready stack: at most batchCap
+// vertices, fewer when the job's quota room is smaller, charged to the
+// job's fair-share account and counted as drawn until Lease settles
+// them. Returns a nil job when none is eligible; a ready-stack method.
+func NextBatch[T any](policy Policy, running []*Job[T], batchCap int) (*Job[T], []int32) {
+	views := make([]JobView, len(running))
+	for i, jb := range running {
+		// drawn is read before the leases: a concurrent Lease grants
+		// before it settles drawn, so the sum can overcount, never under.
+		views[i] = JobView{ID: jb.id, Weight: jb.req.Weight, Priority: jb.req.Priority, Ready: len(jb.ready),
+			Inflight: int(jb.drawn.Load()) + jb.leases.Len(), Quota: jb.req.Quota, Served: jb.served}
+	}
+	i := policy.Pick(views)
+	if i < 0 || i >= len(running) {
+		return nil, nil
+	}
+	jb := running[i]
+	n := batchCap
+	if q := views[i].Quota; q > 0 && q-views[i].Inflight < n {
+		n = q - views[i].Inflight
+	}
+	n = min(max(n, 1), len(jb.ready))
+	ids := make([]int32, n)
+	copy(ids, jb.ready[len(jb.ready)-n:])
+	jb.ready = jb.ready[:len(jb.ready)-n]
+	jb.served += float64(n) / jb.req.Weight
+	jb.drawn.Add(int64(n))
+	return jb, ids
+}
+
+// Requeue puts dispatched vertices back on the ready stack, refunding
+// their fair-share charge so a job does not pay twice for work it never
+// kept. A no-op once the job finished; a ready-stack method.
+func (jb *Job[T]) Requeue(ids ...int32) {
+	if len(ids) == 0 || jb.Finished() {
+		return
+	}
+	jb.served -= float64(len(ids)) / jb.req.Weight
+	jb.Enqueue(ids)
+}
+
+// Enqueue stacks newly computable (or speculation-flagged) vertices,
+// which were never charged. A no-op once the job finished; a ready-stack
+// method.
+func (jb *Job[T]) Enqueue(ids []int32) {
+	if len(ids) == 0 || jb.Finished() {
+		return
+	}
+	jb.ready = append(jb.ready, ids...)
+	jb.tr.Ready(len(jb.ready))
+}
+
+// Task is one leased attempt awaiting encoding: the vertex, its attempt
+// stamp, and its data region — the committed blocks of the vertex's data
+// predecessors Deps, in order.
+type Task[T any] struct {
+	Vertex, Attempt int32
+	Deps            []int32
+	Blocks          []*matrix.Block[T]
+}
+
+// Lease settles a drawn batch for member: each vertex gets an attempt and
+// a lease with a position-scaled overtime deadline (the i-th task of a
+// batch waits behind i-1 others on the member), or a concurrent backup
+// lease when it carries a speculation flag. Vertices finished or
+// superseded meanwhile drop out; held returns flagged vertices whose
+// primary this very member runs, for the caller to Requeue toward another
+// member. Nothing is leased once the job finished.
+func (jb *Job[T]) Lease(member int, ids []int32) (tasks []Task[T], held []int32) {
+	defer jb.drawn.Add(-int64(len(ids)))
+	if jb.Finished() {
+		return nil, nil
+	}
+	now := jb.clock.Now()
+	tasks = make([]Task[T], 0, len(ids))
+	for _, v := range ids {
+		attempt, ok, backup, self := jb.register(member, v)
+		if !ok {
+			if self {
+				held = append(held, v)
+			}
+			continue
+		}
+		deps := jb.graph.Vertex(v).DataPre
+		positions := make([]dag.Pos, len(deps))
+		for k, d := range deps {
+			positions[k] = jb.geom.PosOf(d)
+		}
+		blocks := jb.store.Gather(positions)
+		deadline := now.Add(jb.req.TaskTimeout * time.Duration(len(tasks)+1))
+		if backup {
+			jb.leases.Add(v, member, attempt, now)
+			jb.ot.AddConcurrent(v, attempt, deadline)
+			jb.ctrs.Speculated.Add(1)
+			jb.tr.Speculate(member, v)
+		} else {
+			jb.leases.Grant(v, member, attempt, now)
+			jb.ot.Add(v, attempt, deadline)
+		}
+		jb.tr.TaskStart(member, v)
+		jb.ctrs.Dispatches.Add(1)
+		tasks = append(tasks, Task[T]{Vertex: v, Attempt: attempt, Deps: deps, Blocks: blocks})
+	}
+	return tasks, held
+}
+
+// unlease unwinds leased tasks that never reached the wire.
+func (jb *Job[T]) unlease(tasks []Task[T]) {
+	for _, t := range tasks {
+		jb.leases.ReleaseAttempt(t.Vertex, t.Attempt)
+		jb.ot.RemoveAttempt(t.Vertex, t.Attempt)
+		jb.noteAttemptGone(t.Vertex, t.Attempt)
+		jb.rt.CancelAttempt(t.Vertex, t.Attempt)
+	}
+}
+
+// register claims an attempt of v for member — rt.Register for an
+// ordinary draw, a concurrent backup for a speculation-flagged vertex. A
+// member never backs up its own attempt: that draw is refused with
+// held=true and the flag restored, so the vertex can go back on the ready
+// stack for another member to back up promptly.
+func (jb *Job[T]) register(member int, v int32) (attempt int32, ok, backup, held bool) {
+	jb.specMu.Lock()
+	pending := jb.specPending[v]
+	delete(jb.specPending, v)
+	jb.specMu.Unlock()
+	if !pending {
+		a, ok := jb.rt.Register(v)
+		return a, ok, false, false
+	}
+	for _, l := range jb.leases.Holders(v) {
+		if l.Worker == member {
+			jb.specMu.Lock()
+			jb.specPending[v] = true
+			jb.specMu.Unlock()
+			return 0, false, false, true
+		}
+	}
+	a, ok := jb.rt.RegisterBackup(v)
+	if !ok {
+		return 0, false, false, false
+	}
+	jb.specMu.Lock()
+	jb.backupOf[v] = a
+	jb.specMu.Unlock()
+	return a, true, true, false
+}
+
+// Encode serializes a task's data region in the plain wire format.
+func (jb *Job[T]) Encode(t Task[T]) ([]byte, error) {
+	jb.ctrs.BlocksShipped.Add(int64(len(t.Blocks)))
+	return matrix.EncodeBlocks(jb.p.Codec, t.Blocks)
+}
+
+// Sent accounts one task message carrying entries to member.
+func (jb *Job[T]) Sent(member int, entries []comm.TaskEntry) {
+	bytes := 0
+	for _, e := range entries {
+		bytes += len(e.Payload)
+	}
+	jb.ctrs.TaskBytes.Add(int64(bytes))
+	jb.tr.Dispatch(member, len(entries), bytes)
+	if len(entries) > 1 {
+		jb.ctrs.BatchMessages.Add(1)
+	}
+}
+
+// Apply is the result path for one attempt's payload from member:
+// attempt arbitration (a stale or duplicate result is counted and
+// dropped), the runtime-profile sample, lease release, speculation
+// accounting, decode, commit, the DAG advance and the cross-job cache
+// drain. It reports whether the result committed and returns the newly
+// computable vertices the caller should Enqueue. A bad payload or a
+// failed commit finishes the job with the error; the last vertex finishes
+// it with success.
+func (jb *Job[T]) Apply(member int, v, attempt int32, payload []byte) (newly []int32, ok bool) {
+	if !jb.rt.Accept(v, attempt) {
+		jb.ctrs.StaleResults.Add(1)
+		return nil, false
+	}
+	jb.ot.Remove(v)
+	now := jb.clock.Now()
+	if l, ok := jb.leases.Find(v, attempt); ok {
+		jb.profile.Observe(now.Sub(l.Granted))
+	}
+	jb.leases.Release(v)
+	jb.specMu.Lock()
+	if backup, ok := jb.backupOf[v]; ok {
+		delete(jb.backupOf, v)
+		delete(jb.specPending, v)
+		if backup == attempt {
+			jb.ctrs.SpecWon.Add(1)
+		} else {
+			jb.ctrs.SpecWasted.Add(1)
+		}
+	}
+	jb.specMu.Unlock()
+	blocks, err := matrix.DecodeBlocks(jb.p.Codec, payload)
+	if err != nil || len(blocks) != 1 {
+		jb.Finish(fmt.Errorf("fleet: bad result payload for vertex %d of job %q from member %d: %v", v, jb.req.Name, member, err), now)
+		return nil, false
+	}
+	if err := jb.commit(v, payload, blocks[0]); err != nil {
+		jb.Finish(err, now)
+		return nil, false
+	}
+	jb.tr.TaskEnd(member, v)
+	jb.ctrs.Tasks.Add(1)
+	newly = jb.parser.Complete(v)
+	jb.progress()
+	if jb.parser.Finished() {
+		jb.Finish(nil, now)
+		return nil, true
+	}
+	return jb.absorbCached(newly), true
+}
+
+// Expire applies one control tick's failure rules at now: past
+// start+Timeout the job fails; then every expired overtime attempt loses
+// its lease and, unless a concurrent attempt survives, its vertex is
+// returned for the caller to Requeue. A vertex expiring MaxAttempts times
+// fails the job — and only the job.
+func (jb *Job[T]) Expire(now time.Time) []int32 {
+	if jb.Finished() {
+		return nil
+	}
+	if !jb.deadline.IsZero() && now.After(jb.deadline) {
+		jb.Finish(fmt.Errorf("fleet: job %q exceeded its %v timeout with %d vertices remaining",
+			jb.req.Name, jb.req.Timeout, jb.parser.Remaining()), now)
+		return nil
+	}
+	var requeue []int32
+	for _, e := range jb.ot.ExpireBefore(now) {
+		jb.leases.ReleaseAttempt(e.ID, e.Attempt)
+		jb.noteAttemptGone(e.ID, e.Attempt)
+		jb.timeouts[e.ID]++
+		if jb.timeouts[e.ID] >= jb.req.MaxAttempts {
+			jb.Finish(fmt.Errorf("fleet: job %q: vertex %d timed out %d times (MaxAttempts); giving up",
+				jb.req.Name, e.ID, jb.timeouts[e.ID]), now)
+			return nil
+		}
+		if jb.rt.CancelAttempt(e.ID, e.Attempt) == 0 {
+			jb.ctrs.Redistributions.Add(1)
+			requeue = append(requeue, e.ID)
+		}
+	}
+	return requeue
+}
+
+// Speculate flags the job's straggling attempts for backup dispatch once
+// they outlive the runtime-profile threshold at k's current quantile and
+// multiplier — only while nothing is queued, and at most budget per tick
+// (the live-member count, so one job's stragglers cannot spend the pool's
+// whole allowance). Flagged vertices are stacked ready, where Lease turns
+// their next draw into a backup. A ready-stack method.
+func (jb *Job[T]) Speculate(k *Knobs, budget int) {
+	if !k.Speculate || jb.Finished() || len(jb.ready) > 0 {
+		return
+	}
+	q, mult := k.SpecParams()
+	threshold, ok := jb.profile.Threshold(q, mult, k.SpecFloor, k.SpecMinSamples)
+	if !ok {
+		return
+	}
+	var flagged []int32
+	for _, l := range jb.leases.OlderThan(jb.clock.Now().Add(-threshold)) {
+		if len(flagged) == budget {
+			break
+		}
+		if jb.rt.LiveAttempts(l.Vertex) != 1 {
+			continue
+		}
+		jb.specMu.Lock()
+		skip := jb.specPending[l.Vertex]
+		jb.specPending[l.Vertex] = true
+		jb.specMu.Unlock()
+		if !skip {
+			flagged = append(flagged, l.Vertex)
+		}
+	}
+	jb.Enqueue(flagged)
+}
+
+// Revoke drops every lease member holds in the job (a death or a leave,
+// which never counts toward MaxAttempts) and requeues each vertex no
+// concurrent attempt still covers. Returns the revoked and requeued
+// counts; a ready-stack method.
+func (jb *Job[T]) Revoke(member int) (revoked, requeued int) {
+	leases := jb.leases.RevokeWorker(member)
+	var requeue []int32
+	for _, l := range leases {
+		jb.ot.RemoveAttempt(l.Vertex, l.Attempt)
+		jb.noteAttemptGone(l.Vertex, l.Attempt)
+		if jb.rt.CancelAttempt(l.Vertex, l.Attempt) == 0 {
+			requeue = append(requeue, l.Vertex)
+		}
+	}
+	jb.Requeue(requeue...)
+	return len(leases), len(requeue)
+}
+
+// Steal answers hungry member when no running job has queued work: the
+// deepest member backlog across running jobs — at least two leases; ties
+// go to the earlier job, then to the lowest member id — gives up the newer
+// half of its batch entries, except any in a speculative race, and they
+// are requeued on their job's ready stack. Nothing is stolen while member
+// itself holds a lease. Reports whether anything moved; a ready-stack
+// method.
+func Steal[T any](running []*Job[T], member int) bool {
+	var jb *Job[T]
+	victim, deepest, own := 0, 1, 0
+	for _, j := range running {
+		if len(j.ready) > 0 {
+			return false
+		}
+		own += j.leases.Load(member)
+		for w, n := range j.leases.Loads() {
+			if w != member && (n > deepest || n == deepest && j == jb && w < victim) {
+				jb, victim, deepest = j, w, n
+			}
+		}
+	}
+	if own > 0 || jb == nil {
+		return false
+	}
+	backlog := jb.leases.WorkerLeases(victim)
+	var stolen []int32
+	for _, l := range backlog[(len(backlog)+1)/2:] {
+		if jb.rt.LiveAttempts(l.Vertex) != 1 {
+			continue
+		}
+		jb.leases.ReleaseAttempt(l.Vertex, l.Attempt)
+		jb.ot.RemoveAttempt(l.Vertex, l.Attempt)
+		if jb.rt.CancelAttempt(l.Vertex, l.Attempt) == 0 {
+			stolen = append(stolen, l.Vertex)
+		}
+	}
+	if len(stolen) == 0 {
+		return false
+	}
+	jb.ctrs.Steals.Add(int64(len(stolen)))
+	jb.tr.Steal(member, len(stolen))
+	jb.Requeue(stolen...)
+	return true
+}
+
+// TuneSample assembles one control tick's tuner observation: base plus
+// the counter totals of jobs, and the runtime-profile quantiles of the
+// unfinished job with the heaviest straggler tail — the pool-wide
+// thresholds must serve its worst case.
+func TuneSample[T any](base tune.Sample, jobs []*Job[T]) tune.Sample {
+	s := base
+	var worst float64
+	for _, jb := range jobs {
+		s.Dispatches += jb.ctrs.Dispatches.Load()
+		s.TaskBytes += jb.ctrs.TaskBytes.Load()
+		s.Steals += jb.ctrs.Steals.Load()
+		s.SpecWon += jb.ctrs.SpecWon.Load()
+		s.SpecWasted += jb.ctrs.SpecWasted.Load()
+		n := jb.profile.Samples()
+		if n == 0 || jb.Finished() {
+			continue
+		}
+		p50, _ := jb.profile.Quantile(0.5)
+		p95, _ := jb.profile.Quantile(0.95)
+		if p50 <= 0 {
+			continue
+		}
+		if d := float64(p95) / float64(p50); s.ProfileSamples == 0 || d > worst {
+			worst = d
+			s.ProfileP50, s.ProfileP95, s.ProfileSamples = p50, p95, n
+		}
+	}
+	return s
+}
+
 // blockKey derives vertex v's cross-job cache key: the job's spec
 // digest, the block's cell rectangle, and the content keys of its
 // predecessors' committed payloads. Only called once every predecessor
 // has committed.
-func (jb *job[T]) blockKey(v int32) cas.Key {
+func (jb *Job[T]) blockKey(v int32) cas.Key {
 	deps := jb.graph.Vertex(v).DataPre
 	preds := make([]cas.Key, len(deps))
 	for i, d := range deps {
@@ -282,9 +762,8 @@ func (jb *job[T]) blockKey(v int32) cas.Key {
 // commit is the single write path for a completed block: store insert,
 // content-key recording, cross-job cache write-through, and checkpoint
 // append all happen here, so recovery log and cache can never diverge.
-// Only called from Fleet.Run's startup (restore, absorb) and the fleet
-// recv loop.
-func (jb *job[T]) commit(v int32, payload []byte, b *matrix.Block[T]) error {
+// Only called from Start and Apply.
+func (jb *Job[T]) commit(v int32, payload []byte, b *matrix.Block[T]) error {
 	jb.store.Put(jb.geom.PosOf(v), b)
 	if jb.cache != nil {
 		jb.resultKey[v] = cas.PayloadKey(payload)
@@ -296,9 +775,52 @@ func (jb *job[T]) commit(v int32, payload []byte, b *matrix.Block[T]) error {
 	return nil
 }
 
+// absorbCached probes the cross-job result cache for each newly
+// computable vertex and commits hits in place, cascading: a hit's
+// completion may open further vertices, which are probed in turn. Returns
+// the misses — the vertices that still need dispatch. A corrupt cache
+// entry degrades to a miss (recompute), never to a wrong result, because
+// commit re-derives the content key from the stored payload. A drain that
+// completes the DAG finishes the job.
+func (jb *Job[T]) absorbCached(ids []int32) []int32 {
+	if jb.cache == nil {
+		return ids
+	}
+	var miss []int32
+	work := append([]int32(nil), ids...)
+	for len(work) > 0 {
+		v := work[len(work)-1]
+		work = work[:len(work)-1]
+		payload, ok := jb.cache.GetBlock(jb.blockKey(v), cas.LayerMaster)
+		var b *matrix.Block[T]
+		if ok {
+			blocks, err := matrix.DecodeBlocks(jb.p.Codec, payload)
+			if err == nil && len(blocks) == 1 {
+				b = blocks[0]
+			}
+		}
+		if b == nil {
+			jb.ctrs.CacheMisses.Add(1)
+			miss = append(miss, v)
+			continue
+		}
+		jb.ctrs.CacheHits.Add(1)
+		if err := jb.commit(v, payload, b); err != nil {
+			jb.Finish(err, jb.clock.Now())
+			return miss
+		}
+		work = append(work, jb.parser.Complete(v)...)
+		jb.progress()
+	}
+	if jb.parser.Finished() {
+		jb.Finish(nil, jb.clock.Now())
+	}
+	return miss
+}
+
 // restore replays the job's checkpoint prefix (when configured) and
-// returns the computable frontier, scoped to this job's graph and store.
-func (jb *job[T]) restore() ([]int32, error) {
+// returns the computable frontier in vertex order.
+func (jb *Job[T]) restore() ([]int32, error) {
 	ready := make(map[int32]bool)
 	for _, id := range jb.parser.InitialReady() {
 		ready[id] = true
@@ -338,66 +860,22 @@ func (jb *job[T]) restore() ([]int32, error) {
 	for id := range ready {
 		frontier = append(frontier, id)
 	}
+	sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
 	jb.progress()
 	return frontier, nil
 }
 
-func (jb *job[T]) progress() {
+func (jb *Job[T]) progress() {
 	if jb.req.OnProgress == nil {
 		return
 	}
 	jb.req.OnProgress(jb.graph.N-jb.parser.Remaining(), jb.graph.N)
 }
 
-func (jb *job[T]) finished() bool {
-	select {
-	case <-jb.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// finish ends the job exactly once, recording err (nil for success), the
-// leak audit (register-table plus lease entries still live — zero for a
-// clean finish), and the makespan.
-func (jb *job[T]) finish(err error, now time.Time) {
-	jb.doneOnce.Do(func() {
-		jb.errMu.Lock()
-		jb.err = err
-		jb.leaked = int64(jb.rt.Outstanding() + jb.leases.Len())
-		jb.elapsed = now.Sub(jb.start)
-		jb.errMu.Unlock()
-		if jb.ckptFile != nil {
-			jb.ckptFile.Close()
-		}
-		close(jb.done)
-	})
-}
-
-func (jb *job[T]) finalErr() error {
-	jb.errMu.Lock()
-	defer jb.errMu.Unlock()
-	return jb.err
-}
-
-// stats materializes the job's ledger. Membership fields stay zero —
-// joins and deaths belong to the fleet, not to any one job — except the
-// lease audit, which is per job.
-func (jb *job[T]) stats() cluster.Stats {
-	s := jb.ctrs.Stats()
-	jb.errMu.Lock()
-	if jb.finished() {
-		s.Leaked = jb.leaked
-		s.Elapsed = jb.elapsed
-	}
-	jb.errMu.Unlock()
-	return s
-}
-
 // noteAttemptGone records the speculation-accounting consequence of one
-// attempt of v dying (worker death, overtime expiry or a steal).
-func (jb *job[T]) noteAttemptGone(v, attempt int32) {
+// attempt of v dying (member death, overtime expiry or an unsent
+// dispatch): the race is over, and it was wasted if the backup died.
+func (jb *Job[T]) noteAttemptGone(v, attempt int32) {
 	jb.specMu.Lock()
 	if backup, ok := jb.backupOf[v]; ok {
 		delete(jb.backupOf, v)

@@ -13,7 +13,7 @@ import (
 
 // insertJob registers a hand-built job with a running fleet, the way
 // Fleet.Run would, without blocking on completion.
-func insertJob(t *testing.T, f *Fleet[int32], jb *job[int32]) {
+func insertJob(t *testing.T, f *Fleet[int32], jb *Job[int32]) {
 	t.Helper()
 	f.mu.Lock()
 	f.jobs[jb.id] = jb
@@ -21,10 +21,18 @@ func insertJob(t *testing.T, f *Fleet[int32], jb *job[int32]) {
 	f.mu.Unlock()
 }
 
-func readyLen(f *Fleet[int32], jb *job[int32]) int {
+func readyLen(f *Fleet[int32], jb *Job[int32]) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(jb.ready)
+}
+
+// speculate runs one speculation pass over jb the way tickJob does.
+func speculate(f *Fleet[int32], jb *Job[int32]) {
+	live := f.reg.Live()
+	f.mu.Lock()
+	jb.Speculate(f.opts, live)
+	f.mu.Unlock()
 }
 
 // TestFleetStealFeedsHungryMember drives feedHungry directly: a hungry
@@ -39,7 +47,7 @@ func TestFleetStealFeedsHungryMember(t *testing.T) {
 	}
 	defer f.Close()
 	prob, _ := mustProblem(t, "edit")
-	jb, err := newJob(1, prob, JobRequest{Name: "steal"}.withDefaults(f.opts), f.clock)
+	jb, err := NewJob(1, prob, JobRequest{Name: "steal"}, f.opts.Options, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +124,13 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	f, err := New[int32](Options{
 		Addr:              "127.0.0.1:0",
 		HeartbeatInterval: time.Hour,
-		CheckInterval:     time.Second,
-		TaskTimeout:       time.Hour, // overtime must not race the detector
-		Speculate:         true,
-		Clock:             fake,
+		// The test drives the detector itself: a control tick firing on
+		// the fake clock would flag vertices concurrently, mid-step.
+		CheckInterval: time.Hour,
+		SpecFloor:     time.Second,
+		TaskTimeout:   time.Hour, // overtime must not race the detector
+		Speculate:     true,
+		Clock:         fake,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +139,7 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	fake.BlockUntilTickers(1)
 
 	prob, _ := mustProblem(t, "edit")
-	jb, err := newJob(1, prob, JobRequest{Name: "spec"}.withDefaults(f.opts), f.clock)
+	jb, err := NewJob(1, prob, JobRequest{Name: "spec"}, f.opts.Options, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +148,7 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	w1 := f.reg.Admit("w1", "test")
 
 	// Cold profile: no threshold, no speculation.
-	f.maybeSpeculate(jb)
+	speculate(f, jb)
 	if got := readyLen(f, jb); got != 0 {
 		t.Fatalf("cold profile flagged %d vertices", got)
 	}
@@ -155,13 +166,13 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	}
 
 	fake.Advance(3 * time.Second)
-	f.maybeSpeculate(jb)
+	speculate(f, jb)
 	if got := readyLen(f, jb); got != 0 {
 		t.Fatalf("speculated on a 3s-old attempt below the 4s threshold (%d flagged)", got)
 	}
 
 	fake.Advance(2 * time.Second) // age 5s > threshold
-	f.maybeSpeculate(jb)
+	speculate(f, jb)
 	if got := readyLen(f, jb); got != 1 {
 		t.Fatalf("flagged %d vertices past the threshold, want 1", got)
 	}
@@ -172,7 +183,7 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	f.mu.Lock()
 	jb.ready = nil
 	f.mu.Unlock()
-	if _, ok, _, held := f.register(jb, w1.ID, v); ok || !held {
+	if _, ok, _, held := jb.register(w1.ID, v); ok || !held {
 		t.Fatalf("self-backup register = (ok=%v, held=%v), want a held refusal", ok, held)
 	}
 	if jb.rt.LiveAttempts(v) != 1 {
@@ -187,13 +198,15 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 
 	// Requeue the refused backup the way dispatch does; a second member
 	// turns the draw into a concurrent backup.
-	f.requeueReady(jb, []int32{v})
+	f.mu.Lock()
+	jb.Enqueue([]int32{v})
+	f.mu.Unlock()
 	if got := readyLen(f, jb); got != 1 {
 		t.Fatalf("ready = %d after the refused backup was requeued, want 1", got)
 	}
 	// The detector leaves the requeued backup alone on later ticks.
 	fake.Advance(time.Second)
-	f.maybeSpeculate(jb)
+	speculate(f, jb)
 	if got := readyLen(f, jb); got != 1 {
 		t.Fatalf("detector double-flagged a requeued backup (%d ready)", got)
 	}
@@ -201,7 +214,7 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	f.mu.Lock()
 	jb.ready = nil
 	f.mu.Unlock()
-	backup, ok, isBackup, _ := f.register(jb, w2.ID, v)
+	backup, ok, isBackup, _ := jb.register(w2.ID, v)
 	if !ok || !isBackup {
 		t.Fatalf("backup register = (%v, backup=%v)", ok, isBackup)
 	}
@@ -212,7 +225,7 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 
 	// While a race is live the detector leaves the vertex alone.
 	fake.Advance(10 * time.Second)
-	f.maybeSpeculate(jb)
+	speculate(f, jb)
 	if got := readyLen(f, jb); got != 0 {
 		t.Fatalf("detector flagged a vertex already racing a backup (%d ready)", got)
 	}

@@ -129,7 +129,7 @@ func isTransportCall(fn *types.Func) bool {
 }
 
 // fnKey normalizes a called *types.Func to its generic origin so method
-// calls on instantiated types (job[T], master[T]) resolve to the same
+// calls on instantiated types (Job[T], master[T]) resolve to the same
 // node the declaration defined.
 func fnKey(fn *types.Func) *types.Func {
 	if fn == nil {

@@ -117,9 +117,10 @@ func (t *LeaseTable) ReleaseAttempt(v int32, attempt int32) (Lease, bool) {
 	return Lease{}, false
 }
 
-// RevokeWorker drops every lease held by worker and returns them — the
-// attempts the master must cancel (and requeue where no concurrent
-// attempt survives).
+// RevokeWorker drops every lease held by worker and returns them in
+// grant order — the attempts the master must cancel (and requeue where
+// no concurrent attempt survives), in an order that does not depend on
+// map iteration.
 func (t *LeaseTable) RevokeWorker(worker int) []Lease {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -145,6 +146,7 @@ func (t *LeaseTable) RevokeWorker(worker int) []Lease {
 			t.byVertex[v] = kept
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 

@@ -312,6 +312,54 @@ func TestLeaseTableStealOrdering(t *testing.T) {
 	}
 }
 
+// TestOvertimeQueueExpiryTieOrder inserts same-deadline entries in
+// reverse (ID, Attempt) order: ExpireBefore must return them sorted, so
+// a host's requeue order never depends on heap ties.
+func TestOvertimeQueueExpiryTieOrder(t *testing.T) {
+	base := time.Unix(0, 0)
+	q := NewOvertimeQueue()
+	q.Add(1, 1, base.Add(time.Second)) // later deadline, expires last
+	for id := int32(9); id >= 2; id-- {
+		q.AddConcurrent(id, 2, base)
+		q.AddConcurrent(id, 1, base)
+	}
+	got := q.ExpireBefore(base.Add(time.Second))
+	if len(got) != 17 {
+		t.Fatalf("expired %d entries, want 17", len(got))
+	}
+	for i, e := range got[:16] {
+		if want := (OvertimeEntry{ID: int32(2 + i/2), Attempt: int32(1 + i%2), Deadline: base}); e != want {
+			t.Fatalf("entry %d = %+v, want %+v (all: %+v)", i, e, want, got)
+		}
+	}
+	if got[16].ID != 1 {
+		t.Fatalf("last entry = %+v, want the later deadline", got[16])
+	}
+}
+
+// TestLeaseTableRevokeWorkerGrantOrder grants leases on descending
+// vertex ids (so the worker index's map order is unrelated to grant
+// order): RevokeWorker must return them in grant Seq order.
+func TestLeaseTableRevokeWorkerGrantOrder(t *testing.T) {
+	base := time.Unix(0, 0)
+	for round := 0; round < 20; round++ {
+		lt := NewLeaseTable()
+		for v := int32(40); v >= 1; v-- {
+			lt.Grant(v, 3, 1, base)
+		}
+		lt.Add(40, 3, 2, base) // a second attempt of the same vertex, granted last
+		got := lt.RevokeWorker(3)
+		if len(got) != 41 {
+			t.Fatalf("revoked %d leases, want 41", len(got))
+		}
+		for i, l := range got {
+			if l.Seq != i+1 {
+				t.Fatalf("lease %d has Seq %d, want grant order: %+v", i, l.Seq, got)
+			}
+		}
+	}
+}
+
 // --- RuntimeProfile ---
 
 func TestRuntimeProfileQuantile(t *testing.T) {

@@ -2,43 +2,22 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"repro/internal/cas"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/dag"
-	"repro/internal/matrix"
-	"repro/internal/sched"
+	"repro/internal/fleet"
 	"repro/internal/trace"
-	"repro/internal/tune"
 )
 
-// JobSpec describes one DAG submitted to the simulated cluster. Zero
-// values inherit the cluster Options' defaults, mirroring
-// fleet.JobRequest.
+// JobSpec describes one DAG submitted to the simulated cluster: the DP
+// application, the fleet request it is scheduled under (zero values
+// inherit the cluster's fleet options, as in the fleet; Timeout is the
+// job deadline), and its virtual compute cost.
 type JobSpec struct {
-	// Name labels the job in traces and errors.
-	Name string
 	// Problem is the DP application (kernel, codec, size).
 	Problem core.Problem[int32]
-	// Proc is the processor-level partition; zero applies the same
-	// default rule as the fleet (an ~8x8 block grid).
-	Proc dag.Size
-	// Weight is the fair-share weight (default 1).
-	Weight float64
-	// Priority is the priority class (higher dispatches first).
-	Priority int
-	// Quota caps in-flight leased attempts (0 = unlimited).
-	Quota int
-	// MaxAttempts and TaskTimeout override the cluster defaults.
-	MaxAttempts int
-	TaskTimeout time.Duration
-	// Deadline bounds the job's total runtime from submission; past it
-	// the job fails at the next control tick (fleet.JobRequest.Timeout).
-	// Zero means no deadline.
-	Deadline time.Duration
+	fleet.JobRequest
 	// Cost overrides the cluster's nominal per-vertex service time.
 	Cost time.Duration
 	// CostPerCell, when set, adds CostPerCell x (block cell count) to
@@ -47,331 +26,106 @@ type JobSpec struct {
 	// with per-task overhead (Cost) instead of conjuring work away.
 	// Zero keeps the flat per-vertex model of the older scenarios.
 	CostPerCell time.Duration
-	// CacheKey scopes the job's entries in the cluster's cross-job
-	// result store; empty disables caching for this job.
-	CacheKey string
 }
 
 // Job is the caller's handle on one submitted job; its accessors are
 // valid after Cluster.Run returns.
 type Job struct {
-	jb *simJob
-}
-
-// Err returns the job's terminal error (nil on success).
-func (j *Job) Err() error { return j.jb.err }
-
-// Stats returns the job's scheduling counters.
-func (j *Job) Stats() cluster.Stats {
-	s := j.jb.ctrs.Stats()
-	s.Leaked = int64(j.jb.leaked)
-	s.Elapsed = j.jb.elapsed
-	return s
-}
-
-// Events returns the job's virtual-time scheduling trace.
-func (j *Job) Events() []trace.Event { return j.jb.tr.Events() }
-
-// Summary aggregates the job's trace.
-func (j *Job) Summary() trace.Summary { return j.jb.tr.Summarize() }
-
-// Makespan is the job's virtual submission-to-finish time.
-func (j *Job) Makespan() time.Duration { return j.jb.elapsed }
-
-// Served is the job's normalized fair-share service (dispatched/weight).
-func (j *Job) Served() float64 { return j.jb.served }
-
-// Result assembles the job's computed DP matrix; nil until the job
-// succeeded.
-func (j *Job) Result() [][]int32 {
-	if j.jb.err != nil || !j.jb.done {
-		return nil
-	}
-	return j.jb.store.Assemble()
-}
-
-// simJob is the master-side state of one job: the same component set
-// fleet's per-job state is built from.
-type simJob struct {
-	id   int32
 	spec JobSpec
-	cost time.Duration
-
-	geom   dag.Geometry
-	graph  *dag.Graph
-	parser *dag.Parser
-	store  *matrix.Store[int32]
+	id   int32
+	// jb is the fleet's job state, built at the scripted submission
+	// instant (so its trace starts there), nil before.
+	jb     *fleet.Job[int32]
 	runner *core.TaskRunner[int32]
-
-	rt      *sched.RegisterTable
-	ot      *sched.OvertimeQueue
-	leases  *sched.LeaseTable
-	profile *sched.RuntimeProfile
-
-	ready  []int32
-	served float64
-
-	timeouts    map[int32]int
-	specPending map[int32]bool
-	backupOf    map[int32]int32
-
-	cache     *cas.Store
-	cacheSpec string
-	resultKey []cas.Key
-
-	ctrs cluster.Counters
-	tr   *trace.Recorder
-
-	active  bool
-	start   time.Time
-	done    bool
-	err     error
-	elapsed time.Duration
-	leaked  int
+	err    error // a failure before or at activation
 }
 
-func (c *Cluster) newJob(spec JobSpec) (*simJob, error) {
-	p := spec.Problem
-	if p.Kernel == nil || p.Codec == nil {
-		return nil, fmt.Errorf("sim: job %q needs a kernel and a codec", spec.Name)
-	}
-	if !p.Size.Valid() {
-		return nil, fmt.Errorf("sim: job %q has invalid size %v", spec.Name, p.Size)
-	}
-	if spec.Weight <= 0 {
-		spec.Weight = 1
-	}
-	if spec.MaxAttempts <= 0 {
-		spec.MaxAttempts = c.opts.MaxAttempts
-	}
-	if spec.TaskTimeout <= 0 {
-		spec.TaskTimeout = c.opts.TaskTimeout
+// Submit schedules job spec for submission at virtual offset d and
+// returns its handle; results are valid once Run returns. Several
+// submissions at the same offset form a burst, processed in call order.
+func (c *Cluster) Submit(d time.Duration, spec JobSpec) (*Job, error) {
+	// The job itself is built at d; refuse an unbuildable spec now.
+	if p := spec.Problem; p.Kernel == nil || p.Codec == nil || !p.Size.Valid() {
+		return nil, fmt.Errorf("sim: job %q needs a kernel, a codec and a valid size", spec.Name)
 	}
 	if spec.Cost <= 0 {
 		spec.Cost = c.opts.Cost
 	}
-	proc := spec.Proc
-	if !proc.Valid() {
-		if c.opts.Auto {
-			cm, _ := p.Kernel.(tune.CostModel)
-			proc = tune.AdvisePartition(p.Size.Rows, p.Size.Cols, len(c.workers), cm)
-		} else {
-			proc = dag.Size{Rows: (p.Size.Rows + 7) / 8, Cols: (p.Size.Cols + 7) / 8}
-		}
-	}
-	spec.Proc = proc
-	geom := dag.MatrixGeometry(p.Size, proc)
-	graph := dag.Build(p.Kernel.Pattern(), geom)
-	runner, err := core.NewTaskRunner(p, core.Config{ProcPartition: proc, Threads: 1})
-	if err != nil {
-		return nil, fmt.Errorf("sim: job %q: %w", spec.Name, err)
-	}
-	jb := &simJob{
-		id:          int32(len(c.jobs) + 1),
-		spec:        spec,
-		cost:        spec.Cost,
-		geom:        geom,
-		graph:       graph,
-		parser:      dag.NewParser(graph),
-		store:       matrix.NewStore[int32](geom),
-		runner:      runner,
-		rt:          sched.NewRegisterTable(),
-		ot:          sched.NewOvertimeQueueClock(c.clock),
-		leases:      sched.NewLeaseTable(),
-		profile:     sched.NewRuntimeProfile(0),
-		timeouts:    make(map[int32]int),
-		specPending: make(map[int32]bool),
-		backupOf:    make(map[int32]int32),
-	}
-	if c.opts.Cache != nil && spec.CacheKey != "" {
-		jb.cache = c.opts.Cache
-		jb.cacheSpec = spec.CacheKey
-		jb.resultKey = make([]cas.Key, len(graph.Verts))
-	}
-	return jb, nil
+	j := &Job{spec: spec, id: int32(len(c.jobs) + 1)}
+	c.jobs = append(c.jobs, j)
+	c.At(d, func() { c.activate(j) })
+	return j, nil
 }
 
-// activate starts the job at its scripted submission instant: the trace
-// recorder's origin is pinned here, the initial frontier is probed
-// against the cache, and the remainder queues for dispatch.
-func (c *Cluster) activate(jb *simJob) {
-	jb.active = true
-	jb.start = c.now()
-	jb.tr = trace.NewWithNow(c.clock.Now)
-	ready := jb.parser.InitialReady()
-	ready = c.absorbCached(jb, ready)
-	if jb.done {
+// activate builds the job at its submission instant the way Fleet.Run
+// does — an unset partition under Auto is advised for the live members
+// — and starts it: the frontier drains through the cache and the misses
+// queue for dispatch.
+func (c *Cluster) activate(j *Job) {
+	jb, err := fleet.NewJob(j.id, j.spec.Problem, j.spec.JobRequest, c.knobs.Options, c.reg.Live())
+	if err == nil {
+		j.runner, err = core.NewTaskRunner(j.spec.Problem, core.Config{ProcPartition: jb.Store().Geometry().Block, Threads: 1})
+	}
+	if err == nil {
+		err = jb.Start()
+	}
+	if err != nil {
+		j.err = err
 		return
 	}
-	c.requeueReady(jb, ready)
+	j.jb, c.handles[jb] = jb, j
 	c.dispatchAll()
 }
 
-// blockKey derives vertex v's cross-job cache key, identically to the
-// fleet's: spec digest, cell rectangle, predecessor content keys.
-func (jb *simJob) blockKey(v int32) cas.Key {
-	deps := jb.graph.Vertex(v).DataPre
-	preds := make([]cas.Key, len(deps))
-	for i, d := range deps {
-		preds[i] = jb.resultKey[d]
+func (j *Job) done() bool { return j.err != nil || j.jb != nil && j.jb.Finished() }
+
+// Err returns the job's terminal error (nil on success).
+func (j *Job) Err() error {
+	if j.jb == nil {
+		return j.err
 	}
-	r := jb.geom.Rect(jb.geom.PosOf(v))
-	return cas.BlockKey(jb.cacheSpec, r.Row0, r.Col0, r.Rows, r.Cols, preds)
+	return j.jb.Err()
 }
 
-// commit is the single write path for a completed block: store insert,
-// content-key recording and cache write-through.
-func (jb *simJob) commit(v int32, payload []byte, b *matrix.Block[int32]) {
-	jb.store.Put(jb.geom.PosOf(v), b)
-	if jb.cache != nil {
-		jb.resultKey[v] = cas.PayloadKey(payload)
-		jb.cache.PutBlock(jb.blockKey(v), payload)
+// Stats returns the job's scheduling counters.
+func (j *Job) Stats() cluster.Stats {
+	if j.jb == nil {
+		return cluster.Stats{}
 	}
+	return j.jb.Stats()
 }
 
-// absorbCached probes the result cache for each newly computable vertex
-// and commits hits in place, cascading; returns the misses that still
-// need dispatch. Mirrors fleet.absorbCached.
-func (c *Cluster) absorbCached(jb *simJob, ids []int32) []int32 {
-	if jb.cache == nil {
-		if jb.parser.Finished() && len(ids) == 0 {
-			jb.finish(nil, c.now())
-		}
-		return ids
+// Events returns the job's virtual-time scheduling trace.
+func (j *Job) Events() []trace.Event { return j.recorder().Events() }
+
+// Summary aggregates the job's trace.
+func (j *Job) Summary() trace.Summary { return j.recorder().Summarize() }
+
+// recorder is the job's trace recorder, nil (which records and reports
+// nothing) before activation.
+func (j *Job) recorder() *trace.Recorder {
+	if j.jb == nil {
+		return nil
 	}
-	var miss []int32
-	work := append([]int32(nil), ids...)
-	for len(work) > 0 {
-		v := work[len(work)-1]
-		work = work[:len(work)-1]
-		payload, ok := jb.cache.GetBlock(jb.blockKey(v), cas.LayerMaster)
-		var b *matrix.Block[int32]
-		if ok {
-			blocks, err := matrix.DecodeBlocks(jb.spec.Problem.Codec, payload)
-			if err == nil && len(blocks) == 1 {
-				b = blocks[0]
-			}
-		}
-		if b == nil {
-			jb.ctrs.CacheMisses.Add(1)
-			miss = append(miss, v)
-			continue
-		}
-		jb.ctrs.CacheHits.Add(1)
-		jb.commit(v, payload, b)
-		work = append(work, jb.parser.Complete(v)...)
-	}
-	if jb.parser.Finished() {
-		jb.finish(nil, c.now())
-	}
-	return miss
+	return j.jb.Trace()
 }
 
-func (jb *simJob) noteAttemptGone(v, attempt int32) {
-	if backup, ok := jb.backupOf[v]; ok && backup == attempt {
-		delete(jb.backupOf, v)
-		jb.ctrs.SpecWasted.Add(1)
+// Makespan is the job's virtual submission-to-finish time.
+func (j *Job) Makespan() time.Duration { return j.Stats().Elapsed }
+
+// Served is the job's normalized fair-share service (dispatched/weight).
+func (j *Job) Served() float64 {
+	if j.jb == nil {
+		return 0
 	}
+	return j.jb.Served()
 }
 
-func (jb *simJob) finish(err error, now time.Time) {
-	if jb.done {
-		return
+// Result assembles the job's computed DP matrix; nil until the job
+// succeeded.
+func (j *Job) Result() [][]int32 {
+	if !j.done() || j.Err() != nil {
+		return nil
 	}
-	jb.done = true
-	jb.err = err
-	jb.leaked = jb.rt.Outstanding() + jb.leases.Len()
-	jb.elapsed = now.Sub(jb.start)
-}
-
-// requeue puts previously dispatched vertices back on the ready stack,
-// refunding their fair-share charge (fleet.requeue).
-func (c *Cluster) requeue(jb *simJob, ids ...int32) {
-	if len(ids) == 0 || jb.done {
-		return
-	}
-	jb.ready = append(jb.ready, ids...)
-	jb.served -= float64(len(ids)) / jb.spec.Weight
-	jb.tr.Ready(len(jb.ready))
-}
-
-// requeueReady queues newly computable (or speculation-flagged)
-// vertices without touching the fair-share account (fleet.requeueReady).
-func (c *Cluster) requeueReady(jb *simJob, ids []int32) {
-	if len(ids) == 0 || jb.done {
-		return
-	}
-	jb.ready = append(jb.ready, ids...)
-	jb.tr.Ready(len(jb.ready))
-}
-
-// tickJob applies one control tick to one job: overtime expiry with the
-// job's MaxAttempts cap, then speculation flagging. Mirrors
-// fleet.tickJob, with expiries sorted so same-instant deadlines cannot
-// surface in heap-tie order.
-func (c *Cluster) tickJob(jb *simJob, now time.Time) {
-	if jb.spec.Deadline > 0 && now.Sub(jb.start) >= jb.spec.Deadline {
-		jb.finish(fmt.Errorf("sim: job %q exceeded its %v deadline", jb.spec.Name, jb.spec.Deadline), now)
-		return
-	}
-	expired := jb.ot.ExpireBefore(now)
-	sort.Slice(expired, func(i, j int) bool {
-		a, b := expired[i], expired[j]
-		if !a.Deadline.Equal(b.Deadline) {
-			return a.Deadline.Before(b.Deadline)
-		}
-		if a.ID != b.ID {
-			return a.ID < b.ID
-		}
-		return a.Attempt < b.Attempt
-	})
-	var requeue []int32
-	for _, e := range expired {
-		jb.leases.ReleaseAttempt(e.ID, e.Attempt)
-		jb.noteAttemptGone(e.ID, e.Attempt)
-		jb.timeouts[e.ID]++
-		if jb.timeouts[e.ID] >= jb.spec.MaxAttempts {
-			jb.finish(fmt.Errorf("sim: job %q: vertex %d timed out %d times (MaxAttempts); giving up",
-				jb.spec.Name, e.ID, jb.timeouts[e.ID]), now)
-			return
-		}
-		if jb.rt.CancelAttempt(e.ID, e.Attempt) == 0 {
-			jb.ctrs.Redistributions.Add(1)
-			requeue = append(requeue, e.ID)
-		}
-	}
-	c.requeue(jb, requeue...)
-	if c.opts.Speculate {
-		c.maybeSpeculate(jb)
-	}
-}
-
-// maybeSpeculate flags straggling attempts for backup dispatch with the
-// fleet's profile-threshold machinery and per-job live-worker budget.
-func (c *Cluster) maybeSpeculate(jb *simJob) {
-	if len(jb.ready) > 0 {
-		return
-	}
-	q, mult := c.specParams()
-	threshold, ok := jb.profile.Threshold(q, mult, c.opts.SpecFloor, c.opts.SpecMinSamples)
-	if !ok {
-		return
-	}
-	budget := c.reg.Live()
-	var flagged []int32
-	for _, l := range jb.leases.OlderThan(c.now().Add(-threshold)) {
-		if budget == 0 {
-			break
-		}
-		if jb.rt.LiveAttempts(l.Vertex) != 1 {
-			continue
-		}
-		if jb.specPending[l.Vertex] {
-			continue
-		}
-		jb.specPending[l.Vertex] = true
-		flagged = append(flagged, l.Vertex)
-		budget--
-	}
-	c.requeueReady(jb, flagged)
+	return j.jb.Store().Assemble()
 }

@@ -294,7 +294,7 @@ func parseJob(kvs []string) (ScenarioJob, error) {
 		case "timeout":
 			jb.Spec.TaskTimeout, err = time.ParseDuration(val)
 		case "deadline":
-			jb.Spec.Deadline, err = time.ParseDuration(val)
+			jb.Spec.Timeout, err = time.ParseDuration(val)
 		case "cost":
 			jb.Spec.Cost, err = time.ParseDuration(val)
 		case "cost-per-cell":

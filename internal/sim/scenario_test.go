@@ -147,7 +147,7 @@ expect job j tasks == 16
 		jb.Spec.Proc.Rows != 4 || jb.Spec.Proc.Cols != 4 || jb.Spec.Weight != 2.5 ||
 		jb.Spec.Priority != 1 || jb.Spec.Quota != 3 || jb.Spec.MaxAttempts != 2 ||
 		jb.Spec.TaskTimeout != time.Second || jb.Spec.Cost != 7*time.Millisecond ||
-		jb.Spec.CostPerCell != 250*time.Microsecond || jb.Spec.Deadline != 20*time.Second ||
+		jb.Spec.CostPerCell != 250*time.Microsecond || jb.Spec.Timeout != 20*time.Second ||
 		jb.Spec.CacheKey != "k" {
 		t.Fatalf("job misparsed: %+v", jb)
 	}

@@ -1,33 +1,29 @@
-// Package sim is the deterministic cluster simulator: the fleet's
-// scheduling components — attempt arbitration (sched.RegisterTable),
-// leases (sched.LeaseTable), overtime (sched.OvertimeQueue), runtime
-// profiles, the fair-share policy (fleet.Policy), membership
-// (cluster.Registry), DAG parsing, the block store, the cross-job result
-// cache and the compute engine (core.TaskRunner) — composed under a
-// single-threaded discrete-event loop driven by a sched.FakeClock.
+// Package sim is the deterministic cluster simulator: it drives the
+// fleet's own per-job scheduling state machine (fleet.Job — attempt
+// arbitration, leases, overtime, the runtime profile, speculation,
+// stealing, the fair-share draw, the cross-job result cache) and the
+// fleet's knobs and self-tuner (fleet.Knobs), with membership
+// (cluster.Registry) and the compute engine (core.TaskRunner), under a
+// single-threaded discrete-event loop on a sched.FakeClock.
 //
-// Workers are simulated: each is a speed factor, a task queue and a
-// liveness flag, not a goroutine or a socket. Faults (kill, join,
-// partition, slow-down, burst submission) are scripted at virtual
-// timestamps, service times are drawn from a seeded RNG, and every
+// What the simulator owns is only what the fleet gets from sockets and
+// goroutines: the event loop, simulated workers — each a speed factor, a
+// task queue and a liveness flag — their service times, and scripted
+// faults (kill, join, partition, slow-down, cancel, burst submission) at
+// virtual timestamps. Service times come from a seeded RNG, and every
 // scheduling decision lands in a virtual-time trace.Recorder. The result
 // is the determinism contract the regression suite is built on: the same
 // scenario with the same seed yields a byte-identical event trace
 // (trace.Format), and any seed yields bit-identical DP results, because
-// the kernels are pure functions of their data dependencies.
-//
-// The simulator deliberately mirrors internal/fleet's scheduling
-// semantics — LIFO ready stacks, fair-share draws charged per batch,
-// position-scaled overtime deadlines, MaxAttempts poisoned-job
-// isolation, profile-driven speculation and backlog stealing — so a
-// scenario assertion here is a statement about the production scheduler,
-// checked at scales (1000 workers) the CI box cannot host for real.
+// the kernels are pure functions of their data dependencies. Because the
+// decisions are the fleet's code, not a copy, a scenario assertion here
+// is a statement about the production scheduler, checked at scales (1000
+// workers) the CI box cannot host for real.
 package sim
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
@@ -36,45 +32,17 @@ import (
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/tune"
-
-	"repro/internal/cas"
 )
 
-// Options configures one simulated cluster. Zero values take the same
-// defaults as the production fleet where a counterpart exists.
+// Options configures one simulated cluster. The embedded fleet options
+// carry the scheduling knobs and take the fleet's defaults (Addr and
+// RetainJobs are ignored; Clock and Trace are the simulator's own).
 type Options struct {
+	fleet.Options
 	// Workers is the number of workers admitted before virtual time 0.
+	// Simulated workers beat on every control tick unless partitioned or
+	// dead.
 	Workers int
-	// Batch bounds vertices per dispatch (default 1).
-	Batch int
-	// TaskTimeout is the per-vertex overtime bound (default 30s).
-	TaskTimeout time.Duration
-	// CheckInterval is the control tick period: heartbeats, sweep,
-	// overtime expiry and speculation all run on it (default 250ms).
-	CheckInterval time.Duration
-	// MaxAttempts bounds overtime redistributions per vertex (default 4).
-	MaxAttempts int
-	// HeartbeatInterval and HeartbeatMiss size the membership sweep
-	// (defaults 250ms, 3). Simulated workers beat on every control tick
-	// unless partitioned or dead.
-	HeartbeatInterval time.Duration
-	HeartbeatMiss     int
-	// Speculate enables profile-driven backup dispatch with the fleet's
-	// threshold machinery.
-	Speculate      bool
-	SpecQuantile   float64
-	SpecMultiplier float64
-	SpecMinSamples int
-	SpecFloor      time.Duration
-	// Steal enables backlog stealing toward idle workers when no job
-	// has ready vertices.
-	Steal bool
-	// Policy picks the job feeding each idle worker (default
-	// fleet.FairShare).
-	Policy fleet.Policy
-	// Cache, when non-nil, is the cross-job content-addressed result
-	// store probed for each computable vertex of cache-keyed jobs.
-	Cache *cas.Store
 	// Seed seeds the service-time and fault-selection RNG.
 	Seed int64
 	// Cost is the nominal per-vertex service time (default 1ms); Jitter
@@ -85,60 +53,6 @@ type Options struct {
 	// every unfinished job (default 1h) — the guard that turns a
 	// scheduling livelock into a test failure instead of a hang.
 	Horizon time.Duration
-	// Auto runs the self-tuning controller on every control tick: the
-	// batch cap and speculation thresholds above become starting points
-	// that adapt to the observed workload, unset job partitions come
-	// from the cost-model advisor, and speculation plus stealing are
-	// enabled (auto means the system owns the schedule). Mirrors the
-	// production -auto flag.
-	Auto bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.Auto {
-		o.Speculate = true
-		o.Steal = true
-	}
-	if o.Batch < 1 {
-		o.Batch = 1
-	}
-	if o.TaskTimeout <= 0 {
-		o.TaskTimeout = 30 * time.Second
-	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 250 * time.Millisecond
-	}
-	if o.HeartbeatMiss < 1 {
-		o.HeartbeatMiss = 3
-	}
-	if o.CheckInterval <= 0 {
-		o.CheckInterval = o.HeartbeatInterval
-	}
-	if o.MaxAttempts < 1 {
-		o.MaxAttempts = 4
-	}
-	if o.Policy == nil {
-		o.Policy = fleet.FairShare{}
-	}
-	if o.SpecQuantile <= 0 || o.SpecQuantile > 1 {
-		o.SpecQuantile = 0.95
-	}
-	if o.SpecMultiplier <= 1 {
-		o.SpecMultiplier = 2
-	}
-	if o.SpecMinSamples < 1 {
-		o.SpecMinSamples = 8
-	}
-	if o.SpecFloor <= 0 {
-		o.SpecFloor = o.CheckInterval
-	}
-	if o.Cost <= 0 {
-		o.Cost = time.Millisecond
-	}
-	if o.Horizon <= 0 {
-		o.Horizon = time.Hour
-	}
-	return o
 }
 
 // Cluster is one simulated fleet: a virtual clock, a membership
@@ -147,11 +61,12 @@ func (o Options) withDefaults() Options {
 // A Cluster is single-threaded and not reusable after Run.
 type Cluster struct {
 	opts  Options
+	knobs *fleet.Knobs
 	clock *sched.FakeClock
 	epoch time.Time
 	rng   *rand.Rand
 	reg   *cluster.Registry
-	tr    *trace.Recorder // membership events, virtual-time stamped
+	tr    *trace.Recorder // membership and tuner events, virtual-time stamped
 
 	pq  eventHeap
 	seq int64
@@ -160,40 +75,72 @@ type Cluster struct {
 	byMember map[int]*simWorker
 	idle     []int // FIFO of idle member ids (stale tokens skipped lazily)
 
-	jobs []*simJob // submission order
-	ran  bool
-
-	// tuner is the self-tuning controller, non-nil iff Options.Auto.
-	tuner *tune.Controller
+	jobs    []*Job // submission order
+	handles map[*fleet.Job[int32]]*Job
+	ran     bool
 
 	// maxDeficit is the largest served spread observed across eligible
-	// jobs at any pick (see nextBatch) — the realized fair-share bound.
+	// jobs at any pick (see deficitMeter) — the realized fair-share bound.
 	maxDeficit float64
 }
 
 // New builds an empty simulated cluster. Script it (Submit, JoinAt,
 // KillAt, ...) and then call Run exactly once.
 func New(opts Options) *Cluster {
-	opts = opts.withDefaults()
+	if opts.Cost <= 0 {
+		opts.Cost = time.Millisecond
+	}
+	if opts.Horizon <= 0 {
+		opts.Horizon = time.Hour
+	}
 	epoch := time.Unix(0, 0).UTC()
-	clock := sched.NewFakeClock(epoch)
 	c := &Cluster{
 		opts:     opts,
-		clock:    clock,
+		clock:    sched.NewFakeClock(epoch),
 		epoch:    epoch,
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 		byMember: make(map[int]*simWorker),
+		handles:  make(map[*fleet.Job[int32]]*Job),
 	}
-	c.tr = trace.NewWithNow(clock.Now)
-	c.reg = cluster.NewRegistry(c.tr, clock)
-	if opts.Auto {
-		c.tuner = tune.New(tune.DefaultLimits(), opts.Batch,
-			opts.SpecQuantile, opts.SpecMultiplier, opts.SpecMinSamples)
-	}
+	c.tr = trace.NewWithNow(c.clock.Now)
+	c.reg = cluster.NewRegistry(c.tr, c.clock)
+	fo := opts.Options
+	fo.Clock, fo.Trace = c.clock, c.tr
+	c.knobs = fleet.NewKnobs(fo)
+	c.knobs.Policy = deficitMeter{Policy: c.knobs.Policy, max: &c.maxDeficit}
 	for i := 0; i < opts.Workers; i++ {
 		c.admit()
 	}
 	return c
+}
+
+// deficitMeter wraps the pick policy to record the served spread across
+// the eligible jobs of every pick: its running maximum is the bound the
+// fairness regression scenarios assert.
+type deficitMeter struct {
+	fleet.Policy
+	max *float64
+}
+
+func (m deficitMeter) Pick(views []fleet.JobView) int {
+	first := true
+	var lo, hi float64
+	for _, v := range views {
+		if !v.Eligible() {
+			continue
+		}
+		if first || v.Served < lo {
+			lo = v.Served
+		}
+		if first || v.Served > hi {
+			hi = v.Served
+		}
+		first = false
+	}
+	if !first && hi-lo > *m.max {
+		*m.max = hi - lo
+	}
+	return m.Policy.Pick(views)
 }
 
 func (c *Cluster) now() time.Time { return c.clock.Now() }
@@ -201,19 +148,6 @@ func (c *Cluster) now() time.Time { return c.clock.Now() }
 // At schedules an arbitrary scripted action at virtual offset d.
 func (c *Cluster) At(d time.Duration, fn func()) {
 	c.schedule(c.epoch.Add(d), fn)
-}
-
-// Submit schedules job spec for submission at virtual offset d and
-// returns its handle; results are valid once Run returns. Several
-// submissions at the same offset form a burst, processed in call order.
-func (c *Cluster) Submit(d time.Duration, spec JobSpec) (*Job, error) {
-	jb, err := c.newJob(spec)
-	if err != nil {
-		return nil, err
-	}
-	c.jobs = append(c.jobs, jb)
-	c.At(d, func() { c.activate(jb) })
-	return &Job{jb: jb}, nil
 }
 
 // JoinAt scripts n workers joining at virtual offset d.
@@ -245,10 +179,7 @@ func (c *Cluster) KillRandomAt(d time.Duration, n int) {
 			}
 		}
 		c.rng.Shuffle(len(alive), func(i, j int) { alive[i], alive[j] = alive[j], alive[i] })
-		if n > len(alive) {
-			n = len(alive)
-		}
-		for _, w := range alive[:n] {
+		for _, w := range alive[:min(n, len(alive))] {
 			c.kill(w)
 		}
 		c.dispatchAll()
@@ -284,9 +215,9 @@ func (c *Cluster) PartitionAt(d time.Duration, idx int, dur time.Duration) {
 // no-op, like a late DELETE against the job service.
 func (c *Cluster) CancelAt(d time.Duration, name string) {
 	c.At(d, func() {
-		for _, jb := range c.jobs {
-			if jb.spec.Name == name && jb.active && !jb.done {
-				jb.finish(fmt.Errorf("sim: job %q cancelled by script", name), c.now())
+		for _, j := range c.jobs {
+			if j.spec.Name == name && j.jb != nil && !j.jb.Finished() {
+				j.jb.Finish(fmt.Errorf("sim: job %q cancelled by script", name), c.now())
 				c.dispatchAll()
 			}
 		}
@@ -335,34 +266,18 @@ func (c *Cluster) kill(w *simWorker) {
 	if !w.declaredDead {
 		w.declaredDead = true
 		c.reg.MarkDead(w.member)
-		c.revoke(w.member)
+		c.dropMember(w.member)
 	}
 	c.dispatchAll()
 }
 
-// revoke releases every lease the member holds across all jobs and
-// requeues the uncovered vertices, in submission order and lease grant
-// order so the resulting schedule is deterministic.
-func (c *Cluster) revoke(member int) {
-	for _, jb := range c.jobs {
-		if jb.done {
-			continue
+// dropMember revokes the member's leases job by job, in submission
+// order (see fleet.Job.Revoke).
+func (c *Cluster) dropMember(member int) {
+	for _, jb := range c.running() {
+		if revoked, requeued := jb.Revoke(member); revoked > 0 {
+			c.reg.NoteRevoked(revoked, requeued)
 		}
-		revoked := jb.leases.RevokeWorker(member)
-		if len(revoked) == 0 {
-			continue
-		}
-		sortLeases(revoked)
-		var requeue []int32
-		for _, l := range revoked {
-			jb.ot.RemoveAttempt(l.Vertex, l.Attempt)
-			jb.noteAttemptGone(l.Vertex, l.Attempt)
-			if jb.rt.CancelAttempt(l.Vertex, l.Attempt) == 0 {
-				requeue = append(requeue, l.Vertex)
-			}
-		}
-		c.reg.NoteRevoked(len(revoked), len(requeue))
-		c.requeue(jb, requeue...)
 	}
 }
 
@@ -380,16 +295,8 @@ func (c *Cluster) Run() error {
 	c.scheduleTick()
 	horizon := c.epoch.Add(c.opts.Horizon)
 	for c.pq.Len() > 0 {
-		e := c.pq[0]
-		if e.at.After(horizon) {
-			for _, jb := range c.jobs {
-				if !jb.done && jb.active {
-					jb.finish(fmt.Errorf("sim: job %q unfinished at the %v horizon with %d vertices remaining",
-						jb.spec.Name, c.opts.Horizon, jb.parser.Remaining()), c.now())
-				} else if !jb.active {
-					jb.finish(fmt.Errorf("sim: job %q never activated before the %v horizon", jb.spec.Name, c.opts.Horizon), c.now())
-				}
-			}
+		if c.pq[0].at.After(horizon) {
+			c.failOpen(fmt.Sprintf("unfinished at the %v horizon", c.opts.Horizon))
 			return fmt.Errorf("sim: horizon %v exceeded with unfinished work", c.opts.Horizon)
 		}
 		popped := c.nextEvent()
@@ -398,62 +305,85 @@ func (c *Cluster) Run() error {
 		}
 		popped.fn()
 		if c.finishedAll() {
-			break
+			return nil
 		}
 	}
-	if !c.finishedAll() {
-		// The queue drained with jobs still open: scheduling starved
-		// (e.g. every worker dead and no tick rescheduled).
-		for _, jb := range c.jobs {
-			if !jb.done {
-				jb.finish(fmt.Errorf("sim: job %q starved: event queue drained with %d vertices remaining",
-					jb.spec.Name, jb.parser.Remaining()), c.now())
-			}
-		}
-		return fmt.Errorf("sim: event queue drained with unfinished jobs")
+	if c.finishedAll() {
+		return nil
 	}
-	return nil
+	// The queue drained with jobs still open: scheduling starved (e.g.
+	// every worker dead and no tick rescheduled).
+	c.failOpen("starved: event queue drained")
+	return fmt.Errorf("sim: event queue drained with unfinished jobs")
+}
+
+// failOpen fails every job not yet finished with the given reason.
+func (c *Cluster) failOpen(reason string) {
+	for _, j := range c.jobs {
+		switch {
+		case j.jb == nil && j.err == nil:
+			j.err = fmt.Errorf("sim: job %q never activated: %s", j.spec.Name, reason)
+		case j.jb != nil:
+			j.jb.Finish(fmt.Errorf("sim: job %q %s", j.spec.Name, reason), c.now())
+		}
+	}
 }
 
 func (c *Cluster) finishedAll() bool {
-	for _, jb := range c.jobs {
-		if !jb.done {
+	for _, j := range c.jobs {
+		if !j.done() {
 			return false
 		}
 	}
 	return true
 }
 
+// running lists the activated, unfinished jobs in submission order.
+func (c *Cluster) running() []*fleet.Job[int32] {
+	var out []*fleet.Job[int32]
+	for _, j := range c.jobs {
+		if j.jb != nil && !j.jb.Finished() {
+			out = append(out, j.jb)
+		}
+	}
+	return out
+}
+
 // scheduleTick runs the control loop: beat live workers, sweep for
-// silent ones, expire overtimes, flag speculation, dispatch — then
-// re-arm until every job is done.
+// silent ones, expire overtimes, flag speculation, tune, dispatch —
+// then re-arm until every job is done.
 func (c *Cluster) scheduleTick() {
-	c.after(c.opts.CheckInterval, func() {
+	c.after(c.knobs.CheckInterval, func() {
 		now := c.now()
 		for _, w := range c.workers {
 			if w.alive && !w.partitioned && !w.declaredDead {
 				c.reg.Beat(w.member)
 			}
 		}
-		for _, id := range c.reg.Sweep(now, c.opts.HeartbeatInterval, c.opts.HeartbeatMiss) {
+		for _, id := range c.reg.Sweep(now, c.knobs.HeartbeatInterval, c.knobs.HeartbeatMiss) {
 			// A swept member was partitioned past the miss window: revoke
 			// its leases. The worker itself keeps computing — its results
 			// are refused as stale, exactly like a real partitioned
 			// worker whose connection the master tore down.
 			if w := c.byMember[id]; w != nil && !w.declaredDead {
 				w.declaredDead = true
-				c.revoke(id)
+				c.dropMember(id)
 			}
 		}
-		for _, jb := range c.jobs {
-			if jb.active && !jb.done {
-				c.tickJob(jb, now)
-			}
+		for _, jb := range c.running() {
+			jb.Requeue(jb.Expire(now)...)
+			jb.Speculate(c.knobs, c.reg.Live())
 		}
-		if c.tuner != nil {
-			if d := c.tuner.Tick(c.tuneSample()); d.Changed {
-				c.tr.Tune(d.BatchCap, d.Reason)
+		if c.knobs.Tuner() != nil {
+			// Finished jobs stay in the sample so its totals remain
+			// monotone, as the fleet's retired baseline does.
+			var activated []*fleet.Job[int32]
+			for _, j := range c.jobs {
+				if j.jb != nil {
+					activated = append(activated, j.jb)
+				}
 			}
+			c.knobs.Tick(fleet.TuneSample(tune.Sample{}, activated))
 		}
 		c.dispatchAll()
 		if !c.finishedAll() {
@@ -462,64 +392,9 @@ func (c *Cluster) scheduleTick() {
 	})
 }
 
-// tuneSample assembles the controller's observation for one tick:
-// counter totals summed over every activated job (finished jobs stay in
-// the sum so the totals remain monotone), and the runtime-profile
-// quantiles of the running job with the heaviest straggler tail — if
-// any workload shows dispersion, speculation stays armed for it.
-func (c *Cluster) tuneSample() tune.Sample {
-	var s tune.Sample
-	var worst float64
-	for _, jb := range c.jobs {
-		if !jb.active {
-			continue
-		}
-		s.Dispatches += jb.ctrs.Dispatches.Load()
-		s.TaskBytes += jb.ctrs.TaskBytes.Load()
-		s.Steals += jb.ctrs.Steals.Load()
-		s.SpecWon += jb.ctrs.SpecWon.Load()
-		s.SpecWasted += jb.ctrs.SpecWasted.Load()
-		if jb.done {
-			continue
-		}
-		n := jb.profile.Samples()
-		if n == 0 {
-			continue
-		}
-		p50, _ := jb.profile.Quantile(0.5)
-		p95, _ := jb.profile.Quantile(0.95)
-		if p50 <= 0 {
-			continue
-		}
-		if d := float64(p95) / float64(p50); s.ProfileSamples == 0 || d > worst {
-			worst = d
-			s.ProfileP50, s.ProfileP95, s.ProfileSamples = p50, p95, n
-		}
-	}
-	return s
-}
-
-// batchCap is the dispatch batch bound in effect right now: the
-// controller's recommendation under -auto, the configured constant
-// otherwise.
-func (c *Cluster) batchCap() int {
-	if c.tuner != nil {
-		return c.tuner.BatchCap()
-	}
-	return c.opts.Batch
-}
-
-// specParams are the speculation thresholds in effect right now.
-func (c *Cluster) specParams() (quantile, multiplier float64) {
-	if c.tuner != nil {
-		return c.tuner.SpecParams()
-	}
-	return c.opts.SpecQuantile, c.opts.SpecMultiplier
-}
-
 // Tuner exposes the self-tuning controller (nil unless Options.Auto),
 // for assertions on converged recommendations.
-func (c *Cluster) Tuner() *tune.Controller { return c.tuner }
+func (c *Cluster) Tuner() *tune.Controller { return c.knobs.Tuner() }
 
 // Trace renders the full event stream of the run in canonical form:
 // the membership stream first, then each job's scheduling stream in
@@ -528,9 +403,9 @@ func (c *Cluster) Trace() string {
 	var b strings.Builder
 	b.WriteString("# cluster\n")
 	b.WriteString(trace.Format(c.tr.Events()))
-	for _, jb := range c.jobs {
-		fmt.Fprintf(&b, "# job %s\n", jb.spec.Name)
-		b.WriteString(trace.Format(jb.tr.Events()))
+	for _, j := range c.jobs {
+		fmt.Fprintf(&b, "# job %s\n", j.spec.Name)
+		b.WriteString(trace.Format(j.Events()))
 	}
 	return b.String()
 }
@@ -548,9 +423,3 @@ func (c *Cluster) Elapsed() time.Duration { return c.now().Sub(c.epoch) }
 // Served) observed across eligible jobs at any scheduling decision: the
 // realized weighted fair-share bound of the run.
 func (c *Cluster) MaxDeficit() float64 { return c.maxDeficit }
-
-// sortLeases orders revoked leases by grant sequence: RevokeWorker
-// returns them in map order, which a deterministic requeue cannot use.
-func sortLeases(ls []sched.Lease) {
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Seq < ls[j].Seq })
-}

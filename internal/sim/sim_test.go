@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/trace"
 )
 
@@ -14,7 +15,7 @@ func mustProblem(t *testing.T, kernel string, n int, seed int64) JobSpec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return JobSpec{Name: kernel, Problem: p}
+	return JobSpec{JobRequest: fleet.JobRequest{Name: kernel}, Problem: p}
 }
 
 func TestBuildProblemErrors(t *testing.T) {
@@ -31,8 +32,7 @@ func TestBuildProblemErrors(t *testing.T) {
 // gives a different schedule but bit-identical DP results.
 func TestDeterministicTrace(t *testing.T) {
 	run := func(seed int64) (string, [][]int32) {
-		c := New(Options{Workers: 16, Seed: seed, Cost: time.Millisecond, Jitter: 0.4,
-			CheckInterval: 20 * time.Millisecond, HeartbeatInterval: 20 * time.Millisecond})
+		c := New(Options{Workers: 16, Seed: seed, Cost: time.Millisecond, Jitter: 0.4, Options: fleet.Options{CheckInterval: 20 * time.Millisecond, HeartbeatInterval: 20 * time.Millisecond}})
 		spec := mustProblem(t, "editdist", 64, 7)
 		j, err := c.Submit(0, spec)
 		if err != nil {
@@ -73,9 +73,7 @@ func TestDeterministicTrace(t *testing.T) {
 // its leases are revoked and redistributed, and when the healed zombie
 // finally delivers, attempt arbitration refuses the result.
 func TestPartitionZombie(t *testing.T) {
-	c := New(Options{Workers: 2, Seed: 3, Cost: 10 * time.Millisecond,
-		CheckInterval: 20 * time.Millisecond, HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatMiss: 3, TaskTimeout: time.Minute})
+	c := New(Options{Workers: 2, Seed: 3, Cost: 10 * time.Millisecond, Options: fleet.Options{CheckInterval: 20 * time.Millisecond, HeartbeatInterval: 20 * time.Millisecond, HeartbeatMiss: 3, TaskTimeout: time.Minute}})
 	j, err := c.Submit(0, mustProblem(t, "editdist", 64, 5))
 	if err != nil {
 		t.Fatal(err)
@@ -114,9 +112,7 @@ func TestPartitionZombie(t *testing.T) {
 // expiries on a crawling single worker until the job is failed rather
 // than retried forever.
 func TestMaxAttemptsPoisonsJob(t *testing.T) {
-	c := New(Options{Workers: 1, Seed: 1, Cost: 10 * time.Millisecond,
-		CheckInterval: 20 * time.Millisecond, TaskTimeout: 50 * time.Millisecond,
-		MaxAttempts: 2, Horizon: 5 * time.Minute})
+	c := New(Options{Workers: 1, Seed: 1, Cost: 10 * time.Millisecond, Horizon: 5 * time.Minute, Options: fleet.Options{CheckInterval: 20 * time.Millisecond, TaskTimeout: 50 * time.Millisecond, MaxAttempts: 2}})
 	c.SlowAt(0, 0, 1000) // 10s per task against a 50ms timeout
 	j, err := c.Submit(0, mustProblem(t, "editdist", 16, 2))
 	if err != nil {
@@ -137,9 +133,7 @@ func TestMaxAttemptsPoisonsJob(t *testing.T) {
 // member hoards a deep batch backlog; with stealing on, the joiner must
 // take the newer half instead of idling.
 func TestStealRescuesJoiner(t *testing.T) {
-	c := New(Options{Workers: 1, Seed: 9, Batch: 8, Steal: true,
-		Cost: 10 * time.Millisecond, CheckInterval: 20 * time.Millisecond,
-		TaskTimeout: time.Minute, Horizon: 10 * time.Minute})
+	c := New(Options{Workers: 1, Seed: 9, Cost: 10 * time.Millisecond, Horizon: 10 * time.Minute, Options: fleet.Options{Batch: 8, Steal: true, CheckInterval: 20 * time.Millisecond, TaskTimeout: time.Minute}})
 	c.SlowAt(0, 0, 10) // the incumbent crawls at 100ms per task
 	j, err := c.Submit(0, mustProblem(t, "editdist", 64, 4))
 	if err != nil {
@@ -169,7 +163,7 @@ func TestRunValidation(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	c := New(Options{Workers: 1})
-	if _, err := c.Submit(0, JobSpec{Name: "empty"}); err == nil {
+	if _, err := c.Submit(0, JobSpec{JobRequest: fleet.JobRequest{Name: "empty"}}); err == nil {
 		t.Fatal("want error for a spec without a kernel")
 	}
 }
@@ -177,8 +171,7 @@ func TestSubmitValidation(t *testing.T) {
 // TestHorizonFailsUnfinishedJobs caps virtual time below what the job
 // needs; Run must fail it and report the horizon instead of spinning.
 func TestHorizonFailsUnfinishedJobs(t *testing.T) {
-	c := New(Options{Workers: 1, Seed: 1, Cost: 10 * time.Millisecond,
-		CheckInterval: 20 * time.Millisecond, Horizon: 50 * time.Millisecond})
+	c := New(Options{Workers: 1, Seed: 1, Cost: 10 * time.Millisecond, Horizon: 50 * time.Millisecond, Options: fleet.Options{CheckInterval: 20 * time.Millisecond}})
 	c.SlowAt(0, 0, 1000)
 	j, err := c.Submit(0, mustProblem(t, "editdist", 16, 1))
 	if err != nil {
@@ -191,8 +184,7 @@ func TestHorizonFailsUnfinishedJobs(t *testing.T) {
 		t.Fatal("want the unfinished job failed")
 	}
 	// A job scripted past the horizon must be failed as never activated.
-	c2 := New(Options{Workers: 1, Horizon: 50 * time.Millisecond,
-		CheckInterval: 20 * time.Millisecond})
+	c2 := New(Options{Workers: 1, Horizon: 50 * time.Millisecond, Options: fleet.Options{CheckInterval: 20 * time.Millisecond}})
 	j2, err := c2.Submit(time.Hour, mustProblem(t, "editdist", 8, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -208,8 +200,7 @@ func TestHorizonFailsUnfinishedJobs(t *testing.T) {
 // TestAllWorkersDeadStarves kills the whole fleet mid-run: the event
 // queue must drain into a starvation error, not hang.
 func TestAllWorkersDeadStarves(t *testing.T) {
-	c := New(Options{Workers: 2, Seed: 1, Cost: 10 * time.Millisecond,
-		CheckInterval: 20 * time.Millisecond, Horizon: 30 * time.Second})
+	c := New(Options{Workers: 2, Seed: 1, Cost: 10 * time.Millisecond, Horizon: 30 * time.Second, Options: fleet.Options{CheckInterval: 20 * time.Millisecond}})
 	j, err := c.Submit(0, mustProblem(t, "editdist", 32, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -230,8 +221,7 @@ func TestAllWorkersDeadStarves(t *testing.T) {
 // a deterministic trace.
 func TestBurstSubmitSameInstant(t *testing.T) {
 	run := func() (string, []*Job) {
-		c := New(Options{Workers: 8, Seed: 17, Cost: 2 * time.Millisecond, Jitter: 0.2,
-			CheckInterval: 20 * time.Millisecond, Batch: 2})
+		c := New(Options{Workers: 8, Seed: 17, Cost: 2 * time.Millisecond, Jitter: 0.2, Options: fleet.Options{CheckInterval: 20 * time.Millisecond, Batch: 2}})
 		var jobs []*Job
 		for i, k := range []string{"editdist", "lcs", "swgg"} {
 			spec := mustProblem(t, k, 32, int64(i+1))
@@ -271,7 +261,7 @@ func TestBurstSubmitSameInstant(t *testing.T) {
 
 // TestTraceHelpers covers the format and diff helpers on a live trace.
 func TestTraceHelpers(t *testing.T) {
-	c := New(Options{Workers: 2, Seed: 1, Cost: time.Millisecond, CheckInterval: 20 * time.Millisecond})
+	c := New(Options{Workers: 2, Seed: 1, Cost: time.Millisecond, Options: fleet.Options{CheckInterval: 20 * time.Millisecond}})
 	if _, err := c.Submit(0, mustProblem(t, "editdist", 16, 1)); err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,8 @@ package sim
 import (
 	"time"
 
-	"repro/internal/dag"
+	"repro/internal/comm"
 	"repro/internal/fleet"
-	"repro/internal/matrix"
 )
 
 // simWorker is one simulated fleet member: a speed factor, a FIFO task
@@ -33,10 +32,8 @@ type simWorker struct {
 // frame the master sent, including the encoded data region the compute
 // runs against.
 type entry struct {
-	jb      *simJob
-	vertex  int32
-	attempt int32
-	payload []byte
+	j *Job
+	comm.TaskEntry
 }
 
 // dispatchAll feeds every idle worker until no job has eligible work,
@@ -44,10 +41,10 @@ type entry struct {
 // at the end of every event that could open work or free a worker.
 func (c *Cluster) dispatchAll() {
 	c.feedIdle()
-	if c.opts.Steal && len(c.idle) > 0 {
+	if c.knobs.Steal && len(c.idle) > 0 {
 		// No job has queued work but workers sit idle: steal the tail of
 		// the deepest backlog toward each hungry member, exactly one
-		// feed attempt per idle worker per pass (fleet.feedHungry).
+		// feed attempt per idle worker per pass (fleet.Steal).
 		hungry := len(c.idle)
 		for i := 0; i < hungry && len(c.idle) > 0; i++ {
 			m := c.idle[0]
@@ -56,7 +53,7 @@ func (c *Cluster) dispatchAll() {
 				c.idle = c.idle[1:]
 				continue
 			}
-			if !c.feedHungry(w) {
+			if !fleet.Steal(c.running(), w.member) {
 				break
 			}
 			c.feedIdle()
@@ -87,170 +84,46 @@ func (w *simWorker) ready() bool {
 	return w.alive && !w.partitioned && !w.declaredDead && w.cur == nil && len(w.queue) == 0
 }
 
-// tryFeed draws batches for w until one actually dispatches (true) or
-// no job is eligible (false) — fleet's sender loop, where a draw whose
-// vertices all turned out finished or held does not consume the idle
-// token.
+// tryFeed draws batches for w until one spends its idle token (true)
+// or no job is eligible (false) — fleet's sender loop.
 func (c *Cluster) tryFeed(w *simWorker) bool {
 	for {
-		jb, ids := c.nextBatch()
+		jb, ids := fleet.NextBatch(c.knobs.Policy, c.running(), c.knobs.BatchCap())
 		if jb == nil {
 			return false
 		}
-		sent, consumed := c.dispatch(w, jb, ids)
-		if sent || consumed {
+		if c.send(w, jb, ids) {
 			return true
 		}
 	}
 }
 
-// nextBatch assembles the policy's job views in submission order and
-// draws a LIFO batch from the picked job, charging its fair-share
-// account (fleet.nextBatch without the blocking).
-func (c *Cluster) nextBatch() (*simJob, []int32) {
-	views := make([]fleet.JobView, 0, len(c.jobs))
-	running := make([]*simJob, 0, len(c.jobs))
-	for _, jb := range c.jobs {
-		if !jb.active || jb.done {
-			continue
-		}
-		views = append(views, fleet.JobView{
-			ID:       jb.id,
-			Weight:   jb.spec.Weight,
-			Priority: jb.spec.Priority,
-			Ready:    len(jb.ready),
-			Inflight: jb.leases.Len(),
-			Quota:    jb.spec.Quota,
-			Served:   jb.served,
-		})
-		running = append(running, jb)
+// send leases the drawn vertices to worker w and enqueues the task
+// frames (fleet's dispatch, with the plain wire format). It reports
+// whether the idle token is spent: not when every drawn vertex turned
+// out finished or superseded, but also when the whole draw was held
+// self-backups (fleet's rule), which another worker must take.
+func (c *Cluster) send(w *simWorker, jb *fleet.Job[int32], ids []int32) bool {
+	tasks, held := jb.Lease(w.member, ids)
+	jb.Requeue(held...)
+	if len(tasks) == 0 {
+		return len(held) > 0
 	}
-	// Track the fair-share deficit the policy is choosing under: the
-	// served spread across currently eligible jobs. Its running maximum
-	// is the bound the fairness regression scenarios assert.
-	first := true
-	var lo, hi float64
-	for _, v := range views {
-		if !v.Eligible() {
-			continue
-		}
-		if first || v.Served < lo {
-			lo = v.Served
-		}
-		if first || v.Served > hi {
-			hi = v.Served
-		}
-		first = false
-	}
-	if !first && hi-lo > c.maxDeficit {
-		c.maxDeficit = hi - lo
-	}
-	i := c.opts.Policy.Pick(views)
-	if i < 0 || i >= len(running) {
-		return nil, nil
-	}
-	jb := running[i]
-	n := c.batchCap()
-	if q := views[i].Quota; q > 0 {
-		if room := q - views[i].Inflight; room < n {
-			n = room
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > len(jb.ready) {
-		n = len(jb.ready)
-	}
-	ids := make([]int32, n)
-	copy(ids, jb.ready[len(jb.ready)-n:])
-	jb.ready = jb.ready[:len(jb.ready)-n]
-	jb.served += float64(n) / jb.spec.Weight
-	return jb, ids
-}
-
-// register arbitrates one drawn vertex: a primary attempt normally, a
-// backup when the vertex carries a pending speculation flag — unless
-// this very worker holds the primary, in which case the vertex is held
-// for another member (fleet.register).
-func (c *Cluster) register(jb *simJob, member int, v int32) (attempt int32, ok, backup, held bool) {
-	pending := jb.specPending[v]
-	delete(jb.specPending, v)
-	if !pending {
-		a, ok := jb.rt.Register(v)
-		return a, ok, false, false
-	}
-	for _, l := range jb.leases.Holders(v) {
-		if l.Worker == member {
-			jb.specPending[v] = true
-			return 0, false, false, true
-		}
-	}
-	a, ok := jb.rt.RegisterBackup(v)
-	if !ok {
-		return 0, false, false, false
-	}
-	jb.backupOf[v] = a
-	return a, true, true, false
-}
-
-// dispatch leases the drawn vertices to worker w and enqueues the task
-// frames. Returns (sent, consumed): sent when at least one frame went
-// out; consumed when the idle token is spent even without a send (the
-// whole draw was held self-backups, fleet's rule).
-func (c *Cluster) dispatch(w *simWorker, jb *simJob, ids []int32) (sent, consumed bool) {
-	now := c.now()
-	var held []int32
-	entries := make([]entry, 0, len(ids))
-	bytes := 0
-	for _, v := range ids {
-		attempt, ok, backup, self := c.register(jb, w.member, v)
-		if !ok {
-			if self {
-				held = append(held, v)
-			}
-			continue
-		}
-		deps := jb.graph.Vertex(v).DataPre
-		positions := make([]dag.Pos, len(deps))
-		for k, d := range deps {
-			positions[k] = jb.geom.PosOf(d)
-		}
-		payload, err := matrix.EncodeBlocks(jb.spec.Problem.Codec, jb.store.Gather(positions))
+	entries := make([]comm.TaskEntry, len(tasks))
+	for i, t := range tasks {
+		payload, err := jb.Encode(t)
 		if err != nil {
-			jb.finish(err, now)
-			return false, true
+			jb.Finish(err, c.now())
+			return true
 		}
-		jb.ctrs.BlocksShipped.Add(int64(len(deps)))
-		deadline := now.Add(jb.spec.TaskTimeout * time.Duration(len(entries)+1))
-		if backup {
-			jb.leases.Add(v, w.member, attempt, now)
-			jb.ot.AddConcurrent(v, attempt, deadline)
-			jb.ctrs.Speculated.Add(1)
-			jb.tr.Speculate(w.member, v)
-		} else {
-			jb.leases.Grant(v, w.member, attempt, now)
-			jb.ot.Add(v, attempt, deadline)
-		}
-		jb.tr.TaskStart(w.member, v)
-		jb.ctrs.Dispatches.Add(1)
-		bytes += len(payload)
-		entries = append(entries, entry{jb: jb, vertex: v, attempt: attempt, payload: payload})
+		entries[i] = comm.TaskEntry{Vertex: t.Vertex, Attempt: t.Attempt, Payload: payload}
 	}
-	if len(held) > 0 {
-		c.requeue(jb, held...)
+	jb.Sent(w.member, entries)
+	for _, e := range entries {
+		w.queue = append(w.queue, entry{j: c.handles[jb], TaskEntry: e})
 	}
-	if len(entries) == 0 {
-		return false, len(held) > 0
-	}
-	jb.ctrs.TaskBytes.Add(int64(bytes))
-	jb.tr.Dispatch(w.member, len(entries), bytes)
-	if len(entries) > 1 {
-		jb.ctrs.BatchMessages.Add(1)
-	}
-	w.queue = append(w.queue, entries...)
 	c.startNext(w)
-	return true, true
+	return true
 }
 
 // startNext begins the worker's next queued entry, skipping frames of
@@ -260,7 +133,7 @@ func (c *Cluster) startNext(w *simWorker) {
 	for w.cur == nil && len(w.queue) > 0 {
 		e := w.queue[0]
 		w.queue = w.queue[1:]
-		if e.jb.done {
+		if e.j.jb.Finished() {
 			continue
 		}
 		ec := e
@@ -279,10 +152,11 @@ func (c *Cluster) startNext(w *simWorker) {
 // The RNG is consumed in event order, so the draw sequence — and with
 // it the whole schedule — is a function of the seed.
 func (c *Cluster) serviceTime(e *entry, w *simWorker) time.Duration {
-	cost := float64(e.jb.cost)
-	if e.jb.spec.CostPerCell > 0 {
-		r := e.jb.geom.Rect(e.jb.geom.PosOf(e.vertex))
-		cost += float64(e.jb.spec.CostPerCell) * float64(r.Rows*r.Cols)
+	cost := float64(e.j.spec.Cost)
+	if e.j.spec.CostPerCell > 0 {
+		geom := e.j.jb.Store().Geometry()
+		r := geom.Rect(geom.PosOf(e.Vertex))
+		cost += float64(e.j.spec.CostPerCell) * float64(r.Rows*r.Cols)
 	}
 	d := cost * w.speed
 	if c.opts.Jitter > 0 {
@@ -307,65 +181,30 @@ func (c *Cluster) complete(w *simWorker, gen int) {
 		// A declared-dead (swept) but healed worker still delivers: the
 		// master refuses the result in attempt arbitration, which is the
 		// zombie-result path the register table exists for.
-		c.applyResult(w, e)
+		c.deliver(w, e)
 	}
 	c.startNext(w)
 	c.dispatchAll()
 }
 
-// applyResult commits one computed vertex to its job — acceptance,
-// profile observation, lease release, speculation accounting, compute,
-// commit, DAG advance — mirroring fleet.applyResult with the compute
-// moved master-side (the simulator computes each accepted vertex once;
-// speculation losers cost only virtual time).
-func (c *Cluster) applyResult(w *simWorker, e *entry) {
-	jb := e.jb
-	if jb.done {
+// deliver computes one finished entry on the job's task runner — the
+// computation a worker would have shipped back — and hands the result
+// to the fleet's result path (fleet.Job.Apply).
+func (c *Cluster) deliver(w *simWorker, e *entry) {
+	jb := e.j.jb
+	if jb.Finished() {
 		return
 	}
-	if !jb.rt.Accept(e.vertex, e.attempt) {
-		jb.ctrs.StaleResults.Add(1)
-		return
-	}
-	now := c.now()
-	jb.ot.Remove(e.vertex)
-	if l, ok := jb.leases.Find(e.vertex, e.attempt); ok {
-		jb.profile.Observe(now.Sub(l.Granted))
-	}
-	jb.leases.Release(e.vertex)
-	if backup, ok := jb.backupOf[e.vertex]; ok {
-		delete(jb.backupOf, e.vertex)
-		delete(jb.specPending, e.vertex)
-		if backup == e.attempt {
-			jb.ctrs.SpecWon.Add(1)
-		} else {
-			jb.ctrs.SpecWasted.Add(1)
-		}
-	}
-	out, err := jb.runner.Run(e.vertex, e.payload)
+	out, err := e.j.runner.Run(e.Vertex, e.Payload)
 	if err != nil {
-		jb.finish(err, now)
+		jb.Finish(err, c.now())
 		return
 	}
-	blocks, err := matrix.DecodeBlocks(jb.spec.Problem.Codec, out)
-	if err != nil || len(blocks) != 1 {
-		jb.finish(err, now)
-		return
+	newly, ok := jb.Apply(w.member, e.Vertex, e.Attempt, out)
+	if ok {
+		c.reg.NoteCompleted(w.member)
 	}
-	jb.commit(e.vertex, out, blocks[0])
-	c.reg.NoteCompleted(w.member)
-	jb.tr.TaskEnd(w.member, e.vertex)
-	jb.ctrs.Tasks.Add(1)
-	newly := jb.parser.Complete(e.vertex)
-	if jb.parser.Finished() {
-		jb.finish(nil, now)
-		return
-	}
-	newly = c.absorbCached(jb, newly)
-	if jb.done {
-		return
-	}
-	c.requeueReady(jb, newly)
+	jb.Enqueue(newly)
 }
 
 // noteIdleIfFree queues an idle token for w if it can take work.
@@ -373,56 +212,4 @@ func (c *Cluster) noteIdleIfFree(w *simWorker) {
 	if w.ready() {
 		c.idle = append(c.idle, w.member)
 	}
-}
-
-// feedHungry steals the newer half of the deepest backlog toward hungry
-// worker w when no job has queued work (fleet.feedHungry, with the
-// victim scan in admit order instead of map order). Returns false when
-// there was nothing to steal, which ends the pass.
-func (c *Cluster) feedHungry(w *simWorker) bool {
-	ownLoad := 0
-	var victimJob *simJob
-	victim, deepest := 0, 1
-	for _, jb := range c.jobs {
-		if !jb.active || jb.done {
-			continue
-		}
-		if len(jb.ready) > 0 {
-			return false // queued work exists; normal dispatch handles it
-		}
-		ownLoad += jb.leases.Load(w.member)
-		for _, vw := range c.workers {
-			if vw.member == w.member {
-				continue
-			}
-			if n := jb.leases.Load(vw.member); n > deepest {
-				victimJob, victim, deepest = jb, vw.member, n
-			}
-		}
-	}
-	if ownLoad > 0 || victimJob == nil {
-		return false
-	}
-	backlog := victimJob.leases.WorkerLeases(victim)
-	if len(backlog) < 2 {
-		return false
-	}
-	stolen := make([]int32, 0, len(backlog)/2)
-	for _, l := range backlog[(len(backlog)+1)/2:] {
-		if victimJob.rt.LiveAttempts(l.Vertex) != 1 {
-			continue
-		}
-		victimJob.leases.ReleaseAttempt(l.Vertex, l.Attempt)
-		victimJob.ot.RemoveAttempt(l.Vertex, l.Attempt)
-		if victimJob.rt.CancelAttempt(l.Vertex, l.Attempt) == 0 {
-			stolen = append(stolen, l.Vertex)
-		}
-	}
-	if len(stolen) == 0 {
-		return false
-	}
-	victimJob.ctrs.Steals.Add(int64(len(stolen)))
-	victimJob.tr.Steal(w.member, len(stolen))
-	c.requeue(victimJob, stolen...)
-	return true
 }

@@ -116,4 +116,10 @@ if [ "$sim" = 1 ]; then
     # scenarios run in seconds.
     EASYHPS_SIM_SEEDS="1009,2003" \
         go test -race -count=1 -run TestScenariosReseeded -timeout 120s ./internal/sim/
+    # The random-script property test (faults, bursts, cancellations over
+    # the fleet's job type) at the same extra seeds.
+    for seed in 1009 2003; do
+        EASYHPS_TEST_SEED=$seed \
+            go test -race -count=1 -run TestRandomScriptsMatchSequential -timeout 120s ./internal/sim/
+    done
 fi
