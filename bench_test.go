@@ -168,21 +168,49 @@ func BenchmarkDAGParseDrain(b *testing.B) {
 	}
 }
 
+// BenchmarkCodecBinaryBlock measures the block codec on one 200x200 int32
+// block: plain encode and decode, and the keyed (content-addressed)
+// format's encode and decode.
 func BenchmarkCodecBinaryBlock(b *testing.B) {
 	blk := matrix.NewBlock[int32](dag.Rect{Rows: 200, Cols: 200})
 	codec := matrix.BinaryCodec[int32]{}
 	blocks := []*matrix.Block[int32]{blk}
-	b.SetBytes(int64(len(blk.Cells) * 4))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		data, err := matrix.EncodeBlocks[int32](codec, blocks)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := matrix.DecodeBlocks[int32](codec, data); err != nil {
-			b.Fatal(err)
-		}
+	keyed := []matrix.KeyedBlock[int32]{{Key: [32]byte{1}, Block: blk}}
+	plain, err := matrix.EncodeBlocks[int32](codec, blocks)
+	if err != nil {
+		b.Fatal(err)
 	}
+	withKey, err := matrix.EncodeBlocksKeyed[int32](codec, keyed, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(name string, op func() error) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(blk.Cells) * 4))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	run("encode", func() error {
+		_, err := matrix.EncodeBlocks[int32](codec, blocks)
+		return err
+	})
+	run("decode", func() error {
+		_, err := matrix.DecodeBlocks[int32](codec, plain)
+		return err
+	})
+	run("keyed-encode", func() error {
+		_, err := matrix.EncodeBlocksKeyed[int32](codec, keyed, nil)
+		return err
+	})
+	run("keyed-decode", func() error {
+		_, _, err := matrix.DecodeBlocksAny[int32](codec, withKey, nil, nil)
+		return err
+	})
 }
 
 func BenchmarkChanTransportRoundTrip(b *testing.B) {

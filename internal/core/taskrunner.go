@@ -85,7 +85,7 @@ func (r *TaskRunner[T]) Run(vertex int32, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("core: decoding data region of vertex %d: %w", vertex, err)
 	}
 	rect := r.geom.Rect(r.geom.PosOf(vertex))
-	out := computeBlock(r.p, r.cfg, rect, inputs, nil, vertex, r.ctrs)
+	out, _ := computeBlock(r.p, r.cfg, rect, inputs, matrix.NewBlock[T], nil, vertex, r.ctrs)
 	encoded, err := matrix.EncodeBlocks(r.p.Codec, []*matrix.Block[T]{out})
 	if err == nil && keyed && r.seen != nil {
 		// A keyed task means the master tracks this worker's holdings by

@@ -1,10 +1,7 @@
 package matrix
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"repro/internal/dag"
 )
@@ -39,38 +36,37 @@ type BlockRef struct {
 	Rect dag.Rect
 }
 
+const (
+	keySize = len(BlockRef{}.Key)
+	// keyedRecordSize is a reference record's size and a full record's
+	// minimum: a blockHeader and the key.
+	keyedRecordSize = headerSize + keySize
+)
+
 // EncodeBlocksKeyed serializes full blocks and references in the keyed
 // format. Receivers resolve each record in order, so the concatenation
 // full-then-refs is the decoded block order.
 func EncodeBlocksKeyed[T any](c Codec[T], full []KeyedBlock[T], refs []BlockRef) ([]byte, error) {
-	var buf bytes.Buffer
 	n := len(full) + len(refs)
-	if err := binary.Write(&buf, binary.LittleEndian, int32(-(n + 1))); err != nil {
-		return nil, err
-	}
+	cells := 0
 	for _, kb := range full {
-		b := kb.Block
-		h := blockHeader{int32(b.Rect.Row0), int32(b.Rect.Col0), int32(b.Rect.Rows), int32(b.Rect.Cols)}
-		if err := binary.Write(&buf, binary.LittleEndian, h); err != nil {
-			return nil, err
-		}
-		if _, err := buf.Write(kb.Key[:]); err != nil {
-			return nil, err
-		}
-		if err := c.EncodeCells(&buf, b.Cells); err != nil {
+		cells += len(kb.Block.Cells)
+	}
+	buf := make([]byte, 0, payloadSize(c, n, keySize, cells))
+	buf = appendUint32(buf, int32(-(n + 1)))
+	for _, kb := range full {
+		buf = appendHeader(buf, kb.Block.Rect, kb.Block.Rect.Rows)
+		buf = append(buf, kb.Key[:]...)
+		var err error
+		if buf, err = appendCells(c, buf, kb.Block.Cells); err != nil {
 			return nil, err
 		}
 	}
 	for _, ref := range refs {
-		h := blockHeader{int32(ref.Rect.Row0), int32(ref.Rect.Col0), int32(-ref.Rect.Rows), int32(ref.Rect.Cols)}
-		if err := binary.Write(&buf, binary.LittleEndian, h); err != nil {
-			return nil, err
-		}
-		if _, err := buf.Write(ref.Key[:]); err != nil {
-			return nil, err
-		}
+		buf = appendHeader(buf, ref.Rect, -ref.Rect.Rows)
+		buf = append(buf, ref.Key[:]...)
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // DecodeBlocksAny decodes either wire format. Plain payloads behave
@@ -82,26 +78,30 @@ func EncodeBlocksKeyed[T any](c Codec[T], full []KeyedBlock[T], refs []BlockRef)
 // loudly rather than compute on garbage. keyed reports which format was
 // seen, so a runner knows whether to record its own output's key.
 func DecodeBlocksAny[T any](c Codec[T], data []byte, resolve func([32]byte) (*Block[T], bool), record func([32]byte, *Block[T])) (blocks []*Block[T], keyed bool, err error) {
-	r := bytes.NewReader(data)
-	var n int32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+	r := newBlockReader(c, data)
+	n, err := r.word()
+	if err != nil {
 		return nil, false, err
 	}
 	if n >= 0 {
 		b, err := DecodeBlocks(c, data)
 		return b, false, err
 	}
-	count := -n - 1
+	count := -int(n) - 1
+	if err := r.checkCount(count, keyedRecordSize); err != nil {
+		return nil, true, err
+	}
 	blocks = make([]*Block[T], 0, count)
-	for i := int32(0); i < count; i++ {
-		var h blockHeader
-		if err := binary.Read(r, binary.LittleEndian, &h); err != nil {
+	for i := 0; i < count; i++ {
+		h, err := r.header()
+		if err != nil {
 			return nil, true, err
 		}
-		var key [32]byte
-		if _, err := io.ReadFull(r, key[:]); err != nil {
+		kb, err := r.next(keySize)
+		if err != nil {
 			return nil, true, err
 		}
+		key := [32]byte(kb)
 		if h.Rows < 0 {
 			if resolve == nil {
 				return nil, true, fmt.Errorf("matrix: block reference %x with no resolver", key[:6])
@@ -110,8 +110,7 @@ func DecodeBlocksAny[T any](c Codec[T], data []byte, resolve func([32]byte) (*Bl
 			if !ok {
 				return nil, true, fmt.Errorf("matrix: unresolvable block reference %x (rect %d,%d %dx%d)", key[:6], h.Row0, h.Col0, -h.Rows, h.Cols)
 			}
-			want := dag.Rect{Row0: int(h.Row0), Col0: int(h.Col0), Rows: int(-h.Rows), Cols: int(h.Cols)}
-			if b.Rect != want {
+			if want := h.rect(-h.Rows); b.Rect != want {
 				return nil, true, fmt.Errorf("matrix: block reference %x resolved to rect %+v, want %+v", key[:6], b.Rect, want)
 			}
 			blocks = append(blocks, b)
@@ -120,14 +119,20 @@ func DecodeBlocksAny[T any](c Codec[T], data []byte, resolve func([32]byte) (*Bl
 		if h.Rows == 0 || h.Cols <= 0 {
 			return nil, true, fmt.Errorf("matrix: invalid keyed block header %+v", h)
 		}
-		b := NewBlock[T](dag.Rect{Row0: int(h.Row0), Col0: int(h.Col0), Rows: int(h.Rows), Cols: int(h.Cols)})
-		if err := c.DecodeCells(r, b.Cells); err != nil {
+		if err := r.fits(h); err != nil {
+			return nil, true, err
+		}
+		b := NewBlock[T](h.rect(h.Rows))
+		if err := r.cells(b.Cells); err != nil {
 			return nil, true, err
 		}
 		if record != nil {
 			record(key, b)
 		}
 		blocks = append(blocks, b)
+	}
+	if err := r.end(); err != nil {
+		return nil, true, err
 	}
 	return blocks, true, nil
 }

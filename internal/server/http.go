@@ -102,12 +102,12 @@ func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 		a.writeError(w, fmt.Errorf("decoding job spec: %w", err))
 		return
 	}
-	j, err := a.mgr.Submit(spec)
+	st, err := a.mgr.Submit(spec)
 	if err != nil {
 		a.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.Status())
+	writeJSON(w, http.StatusAccepted, st)
 }
 
 func (a *API) list(w http.ResponseWriter, r *http.Request) {

@@ -111,6 +111,12 @@ type Progress struct {
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.statusLocked()
+}
+
+// statusLocked snapshots the job; the caller holds j.mu or has not yet
+// published j.
+func (j *Job) statusLocked() JobStatus {
 	st := JobStatus{
 		ID:     j.ID,
 		Kernel: j.Spec.Kernel,
@@ -306,19 +312,24 @@ func (m *Manager) RetryAfter() time.Duration { return m.cfg.RetryAfter }
 // the whole-job cache returns a finished job immediately; a spec identical
 // to one already in flight is coalesced onto it (single-flight) and shares
 // its outcome without consuming queue space or a run slot.
-func (m *Manager) Submit(spec JobSpec) (*Job, error) {
+//
+// The returned status is the job's state at admission, snapshotted under
+// the manager's lock before the job is published: a run slot may start
+// the job the moment it is queued, but the submitter still learns that it
+// was admitted as queued.
+func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	problem, finish, err := m.reg.Build(spec)
 	if err != nil {
-		return nil, err
+		return JobStatus{}, err
 	}
 	if cells := int64(problem.Size.Rows) * int64(problem.Size.Cols); cells > m.cfg.MaxCells {
-		return nil, fmt.Errorf("server: job size %d cells exceeds limit %d", cells, m.cfg.MaxCells)
+		return JobStatus{}, fmt.Errorf("server: job size %d cells exceeds limit %d", cells, m.cfg.MaxCells)
 	}
 
 	m.mu.Lock()
 	if m.draining {
 		m.mu.Unlock()
-		return nil, ErrShuttingDown
+		return JobStatus{}, ErrShuttingDown
 	}
 	m.seq++
 	j := &Job{
@@ -345,11 +356,12 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 				j.result = &result
 				j.finished = time.Now()
 				close(j.done)
+				st := j.statusLocked()
 				m.jobs[j.ID] = j
 				m.mu.Unlock()
 				m.metrics.submitted.Add(1)
 				m.metrics.observeFinal(StateDone, 0)
-				return j, nil
+				return st, nil
 			}
 		}
 	}
@@ -357,13 +369,14 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	// Single-flight: an identical submission already in flight absorbs
 	// this one as a follower; the leader's settlement resolves it. This
 	// dedup works with the cache disabled too.
+	st := j.statusLocked()
 	if fl := m.flights[j.digest]; fl != nil {
 		fl.followers = append(fl.followers, j)
 		m.jobs[j.ID] = j
 		m.mu.Unlock()
 		m.metrics.submitted.Add(1)
 		m.metrics.coalesced.Add(1)
-		return j, nil
+		return st, nil
 	}
 
 	// Reserve the queue spot before publishing the flight, all under one
@@ -377,13 +390,13 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 		// simply never visible.
 		m.mu.Unlock()
 		m.metrics.rejected.Add(1)
-		return nil, ErrBusy
+		return JobStatus{}, ErrBusy
 	}
 	m.flights[j.digest] = &flight{leader: j}
 	m.jobs[j.ID] = j
 	m.mu.Unlock()
 	m.metrics.submitted.Add(1)
-	return j, nil
+	return st, nil
 }
 
 // Get returns a job by id.

@@ -101,6 +101,10 @@ check_cover internal/lint 76
 # Smoke the wire-codec fuzzer: ten seconds of random frames must neither
 # crash the decoder nor break the encode/decode round trip.
 go test -run '^$' -fuzz '^FuzzWireCodec$' -fuzztime 10s ./internal/comm/
+# And the block-codec fuzzer: plain and keyed payloads under the binary
+# and gob codecs must decode or fail cleanly, with allocation bounded by
+# the payload's size, and accepted binary payloads must re-encode exactly.
+go test -run '^$' -fuzz '^FuzzBlockCodec$' -fuzztime 10s ./internal/matrix/
 
 if [ "$soak" = 1 ]; then
     go test -race -count=1 -tags soak -run TestSoakBatchedFaults -timeout 600s ./internal/fleet/
